@@ -10,8 +10,6 @@
 //
 // The claim being validated: orderings are robust across a 8x parameter
 // range; only magnitudes move.
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common/table.hpp"
@@ -172,23 +170,11 @@ void print_a3() {
       "(RDMA monitoring latency is independent of the host stack)");
 }
 
-void BM_AblationAtomic(benchmark::State& state) {
-  const double scale = static_cast<double>(state.range(0)) / 2.0;
-  for (auto _ : state) {
-    state.SetIterationTime(ncosed_shared_cascade_us(scale) * 1e-6);
-  }
-  state.SetLabel("atomic_x" + Table::fmt(scale, 1));
-}
-BENCHMARK(BM_AblationAtomic)->Arg(1)->Arg(2)->Arg(8)->UseManualTime()
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_a1();
   print_a2();
   print_a3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

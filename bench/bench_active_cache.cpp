@@ -5,8 +5,6 @@
 // Paper claim: RDMA-based version validation gives strong coherency
 // (zero stale responses) at close to cache-hit cost, where TTL-based
 // invalidation must choose between staleness and recompute load.
-#include <benchmark/benchmark.h>
-
 #include "cache/active_cache.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -110,22 +108,9 @@ void print_table() {
       "(strong RDMA validation: zero staleness at near-hit cost)");
 }
 
-void BM_ActiveCache(benchmark::State& state) {
-  const auto policy = static_cast<DynamicPolicy>(state.range(0));
-  for (auto _ : state) {
-    const auto r = run_policy(policy, milliseconds(2));
-    state.counters["stale_pct"] = 100 * r.stale_fraction;
-    state.SetIterationTime(r.mean_latency_us * 1e-6 * 1200);
-  }
-  state.SetLabel(to_string(policy));
-}
-BENCHMARK(BM_ActiveCache)->DenseRange(0, 2)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // schemes (CCWR/MTACC) beat BCC when the working set exceeds a single
 // cache (up to ~35 % in the paper); HYBCC tracks the best scheme per file
 // size; gaps are larger with fewer proxies (less aggregate memory).
-#include <benchmark/benchmark.h>
-
 #include "cache/coop_cache.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
@@ -96,34 +94,12 @@ void print_fig6(std::size_t num_proxies, const char* title) {
   hit_table.print("  └─ corresponding cache hit rates (%)");
 }
 
-void BM_CoopCache(benchmark::State& state) {
-  const auto scheme = kSchemes[static_cast<std::size_t>(state.range(0))];
-  const auto size = static_cast<std::size_t>(state.range(1));
-  const auto proxies = static_cast<std::size_t>(state.range(2));
-  for (auto _ : state) {
-    const auto r = run_datacenter(scheme, size, proxies);
-    // Report virtual time per request.
-    state.SetIterationTime(1.0 / r.tps * kRequests * 1e-3);
-    state.counters["TPS"] = r.tps;
-  }
-  state.SetLabel(std::string(cache::to_string(scheme)) + "/" +
-                 std::to_string(size / 1024) + "k/" +
-                 std::to_string(proxies) + "proxies");
-}
-BENCHMARK(BM_CoopCache)
-    ->ArgsProduct({{0, 2}, {16384, 65536}, {2, 8}})
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig6(2,
              "Figure 6a — data-center throughput (TPS), two proxy nodes "
              "(paper: advanced schemes up to ~35 % over BCC)");
   print_fig6(8, "Figure 6b — data-center throughput (TPS), eight proxy nodes");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

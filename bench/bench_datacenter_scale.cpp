@@ -50,6 +50,7 @@
 #include "obs/timeseries.hpp"
 #include "trace/exemplar.hpp"
 #include "sim/shard.hpp"
+#include "sim/sync.hpp"
 #include "trace/flight.hpp"
 #include "trace/shard_metrics.hpp"
 #include "trace/trace.hpp"
@@ -107,6 +108,11 @@ struct PartitionHost {
   dlm::NcosedLockManager locks;
   ZipfSampler zipf;
   std::vector<ddss::Allocation> allocs;
+  /// One gate per (node, lock id), held across lock()..unlock(): N-CoSED
+  /// admits one holder of a lock per node, so two client strands that draw
+  /// the same node and lock queue here instead.  An uncontended gate
+  /// schedules no event.
+  std::map<std::uint64_t, sim::Mutex> lock_gates;
   /// Per-partition serve-path registry: the telemetry exporter mirrors
   /// THIS registry (not the worker's thread-local one), so the exported
   /// page is a function of the partition, never of the --shards layout.
@@ -308,9 +314,15 @@ sim::Task<void> client_strand(sim::Shard& shard,
     }
     if (op % 8 == 0) {
       const auto lock_id = static_cast<dlm::LockId>(key % 16);
+      sim::Mutex& gate =
+          host->lock_gates
+              .try_emplace((std::uint64_t{node} << 32) | lock_id, eng)
+              .first->second;
+      co_await gate.acquire();
       co_await host->locks.lock(node, lock_id, dlm::LockMode::kExclusive);
       co_await host->fab.node(node).execute(microseconds(2));
       co_await host->locks.unlock(node, lock_id);
+      gate.release();
     }
     reg.counter("scale.local.ops").add(1);
   }

@@ -1,8 +1,6 @@
 // DDSS operation microbenchmarks beyond Figure 3a: get() latency per
 // coherence model, the IPC-virtualization overhead, placement policies,
 // and the global memory aggregator's striping bandwidth.
-#include <benchmark/benchmark.h>
-
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
@@ -253,16 +251,6 @@ int run_harness(const bench::HarnessOptions& opts) {
   return h.finish();
 }
 
-void BM_DdssGet(benchmark::State& state) {
-  const auto model = kModels[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    state.SetIterationTime(get_latency_us(model, 4096) * 1e-6);
-  }
-  state.SetLabel(ddss::to_string(model));
-}
-BENCHMARK(BM_DdssGet)->DenseRange(0, 6)->UseManualTime()->Iterations(1)
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -272,7 +260,5 @@ int main(int argc, char** argv) {
   print_ipc_table();
   print_placement_table();
   print_aggregator_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

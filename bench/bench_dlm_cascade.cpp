@@ -9,8 +9,6 @@
 //
 // Also prints the Figure 4 sanity table: one-sided op counts for
 // uncontended lock/unlock.
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common/table.hpp"
@@ -209,24 +207,6 @@ void print_throughput_table() {
       "Exclusive lock throughput under contention (kops/s, one hot lock)");
 }
 
-void BM_Cascade(benchmark::State& state) {
-  const auto scheme = static_cast<Scheme>(state.range(0));
-  const auto mode =
-      state.range(1) == 0 ? LockMode::kShared : LockMode::kExclusive;
-  const int waiters = static_cast<int>(state.range(2));
-  for (auto _ : state) {
-    state.SetIterationTime(cascade_latency_us(scheme, mode, waiters) * 1e-6);
-  }
-  state.SetLabel(std::string(name_of(scheme)) +
-                 (mode == LockMode::kShared ? "/shared/" : "/excl/") +
-                 std::to_string(waiters));
-}
-BENCHMARK(BM_Cascade)
-    ->ArgsProduct({{0, 1, 2}, {0, 1}, {4, 16}})
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMicrosecond);
-
 // Harnessed scenarios (docs/BENCHMARKS.md): per scheme, the Figure 5
 // shared-cascade latency at 8 waiters plus uncontended lock+unlock
 // round trips (each acquisition a trace::Request, so lock-wait shows up
@@ -279,7 +259,5 @@ int main(int argc, char** argv) {
   print_fig5(LockMode::kExclusive,
              "Figure 5b — exclusive-lock cascade latency after release "
              "(paper: N-CoSED ~39 % better than SRSL)");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

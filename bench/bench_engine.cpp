@@ -14,11 +14,11 @@
 //   fanout_64       a 64-node fan-out/fan-in: when_all over 64 producers
 //                   feeding one sink channel, the integrated-bench shape.
 //
-// Virtual-time results (event counts, end times) are deterministic and go
-// into BENCH_engine.json; wall-clock events/sec and ns/event go into the
-// non-deterministic BENCH_engine.wall.json sibling (docs/BENCHMARKS.md).
-#include <benchmark/benchmark.h>
-
+// Every run prints one row per scenario (events dispatched, host
+// ns/event).  Virtual-time results (event counts, end times) are
+// deterministic and go into BENCH_engine.json; wall-clock events/sec and
+// ns/event go into the non-deterministic BENCH_engine.wall.json sibling
+// (docs/BENCHMARKS.md).
 #include "common/rng.hpp"
 #include "harness.hpp"
 #include "sim/engine.hpp"
@@ -127,69 +127,14 @@ int run_harness(const bench::HarnessOptions& opts) {
     fanout_64(s.engine(), 1000);
     s.metric("events", static_cast<double>(s.engine().events_dispatched()));
   });
+  h.print_wall_table();
   return h.finish();
 }
-
-// --- google-benchmark path ------------------------------------------------
-
-void BM_TimerChurn(benchmark::State& state) {
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    Engine eng;
-    timer_churn(eng, 16, static_cast<int>(state.range(0)));
-    events += eng.events_dispatched();
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_TimerChurn)->Arg(500)->Arg(2000);
-
-void BM_ChannelPingPong(benchmark::State& state) {
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    Engine eng;
-    channel_pingpong(eng, static_cast<int>(state.range(0)));
-    events += eng.events_dispatched();
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ChannelPingPong)->Arg(10'000)->Arg(100'000);
-
-void BM_SpawnJoinStorm(benchmark::State& state) {
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    Engine eng;
-    spawn_join_storm(eng, static_cast<int>(state.range(0)), 16);
-    events += eng.events_dispatched();
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SpawnJoinStorm)->Arg(200)->Arg(1000);
-
-void BM_Fanout64(benchmark::State& state) {
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    Engine eng;
-    fanout_64(eng, static_cast<int>(state.range(0)));
-    events += eng.events_dispatched();
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Fanout64)->Arg(250)->Arg(1000);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto harness = dcs::bench::extract_harness_flags(argc, argv);
-  // No single-run observed path here: --postmortem-dir rides the harness
-  // (a flight recorder is armed around every scenario).
-  if (harness.harness_mode() || !harness.postmortem_dir.empty()) {
-    return run_harness(harness);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  // The scenarios always run; harness flags add the telemetry files, and
+  // --postmortem-dir arms a flight recorder around every scenario.
+  return run_harness(dcs::bench::extract_harness_flags(argc, argv));
 }

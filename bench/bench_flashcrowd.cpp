@@ -14,8 +14,6 @@
 //                        admission alone, bounded latency throughout.
 //
 // All three services run on the RDMA monitoring primitive.
-#include <benchmark/benchmark.h>
-
 #include "common/table.hpp"
 #include "datacenter/admission.hpp"
 #include "reconfig/reconfig.hpp"
@@ -136,22 +134,9 @@ void print_table() {
       "overload controls, alone and combined");
 }
 
-void BM_FlashCrowd(benchmark::State& state) {
-  const Config config{(state.range(0) & 1) != 0, (state.range(0) & 2) != 0};
-  for (auto _ : state) {
-    const auto r = run_config(config);
-    state.counters["p95_us"] = r.p95_us;
-    state.counters["drop_pct"] = 100 * r.drop_rate;
-    state.SetIterationTime(to_secs(kRunEnd));
-  }
-}
-BENCHMARK(BM_FlashCrowd)->DenseRange(0, 3)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // of a credit each under credit-based flow control; sender-managed
 // packetized packing recovers close to an order of magnitude of
 // small-message throughput.  Full-buffer messages are equivalent.
-#include <benchmark/benchmark.h>
-
 #include "common/table.hpp"
 #include "sockets/flowctl.hpp"
 
@@ -69,29 +67,9 @@ void print_table() {
       "(paper: ~order of magnitude for small messages)");
 }
 
-void BM_Flow(benchmark::State& state) {
-  const std::size_t size = static_cast<std::size_t>(state.range(1));
-  const int count = 1000;
-  for (auto _ : state) {
-    const auto r = state.range(0) == 0
-                       ? run_stream<CreditStream>(size, count)
-                       : run_stream<PacketizedStream>(size, count);
-    state.counters["msgs_per_sec"] = r.msgs_per_sec;
-    state.SetIterationTime(count / r.msgs_per_sec);
-  }
-  state.SetLabel(std::string(state.range(0) == 0 ? "credit" : "packetized") +
-                 "/" + std::to_string(size) + "B");
-}
-BENCHMARK(BM_Flow)
-    ->ArgsProduct({{0, 1}, {64, 8192}})
-    ->UseManualTime()
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

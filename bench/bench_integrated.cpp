@@ -19,8 +19,6 @@
 //
 // Reported: web-service hit rate and request latency after the move, plus
 // batch-site completion time.
-#include <benchmark/benchmark.h>
-
 #include "cache/coop_cache.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
@@ -185,18 +183,6 @@ void print_table() {
       "(cache-aware donor selection avoids corrupting the hottest cache)");
 }
 
-void BM_Integrated(benchmark::State& state) {
-  const auto policy = static_cast<Policy>(state.range(0));
-  for (auto _ : state) {
-    const auto r = run_policy(policy);
-    state.counters["web_hit_rate"] = r.web_hit_rate_after;
-    state.counters["batch_ms"] = r.batch_done_ms;
-    state.SetIterationTime(to_secs(kEnd));
-  }
-  state.SetLabel(name_of(policy));
-}
-BENCHMARK(BM_Integrated)->DenseRange(0, 2)->UseManualTime()->Iterations(1);
-
 // Harnessed scenarios (docs/BENCHMARKS.md).  The transport pair is the
 // paper's Section 5.2 effect end to end: identical document fetches over
 // the two-sided host-TCP path vs the one-sided SDP rendezvous, each fetch
@@ -265,7 +251,5 @@ int main(int argc, char** argv) {
     return run_harness(harness);
   }
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

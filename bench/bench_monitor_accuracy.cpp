@@ -4,8 +4,6 @@
 // Paper shape: RDMA-based schemes report (almost) no deviation from the
 // actual thread count; socket-based schemes spike under load because the
 // monitoring process waits in the run queue.
-#include <benchmark/benchmark.h>
-
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -135,20 +133,6 @@ void print_intrusiveness() {
       "rate (kernel-assisted RDMA: zero at any rate)");
 }
 
-void BM_MonitorAccuracy(benchmark::State& state) {
-  const auto scheme = kSchemes[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    const auto r = measure(scheme);
-    state.counters["mean_abs_dev"] = r.mean_abs_dev;
-    state.SetIterationTime(0.25);  // 250 ms of virtual monitoring
-  }
-  state.SetLabel(monitor::to_string(scheme));
-}
-BENCHMARK(BM_MonitorAccuracy)
-    ->DenseRange(0, 3)
-    ->UseManualTime()
-    ->Iterations(1);
-
 // Harnessed scenarios (docs/BENCHMARKS.md): Figure 8a accuracy per scheme
 // plus the telemetry dogfood — a front-end RDMA-scraping a loaded node's
 // own registry snapshot with zero target-CPU involvement.
@@ -214,7 +198,5 @@ int main(int argc, char** argv) {
   }
   print_fig8a();
   print_intrusiveness();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

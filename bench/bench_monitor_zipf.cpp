@@ -8,8 +8,6 @@
 // heavy requests and more imbalance, which accurate fine-grained
 // monitoring turns into throughput (paper: ~35 % improvement for the
 // RDMA-based schemes).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -190,30 +188,12 @@ int run_harness(const bench::HarnessOptions& opts) {
   return h.finish();
 }
 
-void BM_MonitorZipf(benchmark::State& state) {
-  const auto scheme = state.range(0) == 0 ? MonScheme::kSocketAsync
-                                          : kSchemes[static_cast<std::size_t>(
-                                                state.range(0) - 1)];
-  const double alpha = kAlphas[static_cast<std::size_t>(state.range(1))];
-  for (auto _ : state) {
-    const double tps = throughput_tps(scheme, alpha);
-    state.counters["TPS"] = tps;
-    state.SetIterationTime(kRequests / tps);
-  }
-  state.SetLabel(std::string(monitor::to_string(scheme)) + "/a=" +
-                 Table::fmt(alpha, 2));
-}
-BENCHMARK(BM_MonitorZipf)
-    ->ArgsProduct({{0, 3, 4}, {0, 3}})
-    ->UseManualTime()
-    ->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto flags = bench::extract_harness_flags(argc, argv);
   if (flags.harness_mode()) return run_harness(flags);
-  // Strip --cores-per-node=N before google-benchmark sees the argv.
+  // --cores-per-node=N adds the Figure 8b table at N cores per node.
   std::size_t cores_variant = 0;
   for (int i = 1; i < argc; ++i) {
     constexpr const char* kFlag = "--cores-per-node=";
@@ -224,15 +204,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "monitor_zipf: --cores-per-node must be > 0\n");
         return 2;
       }
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      argv[argc] = nullptr;
       break;
     }
   }
   print_fig8b();
   if (cores_variant > 1) print_cores_variant(cores_variant);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

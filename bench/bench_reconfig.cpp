@@ -5,8 +5,6 @@
 // immediately; a conventional coarse (second-scale) loop leaves site A
 // under-provisioned for the whole interval.  Paper claim: about an order
 // of magnitude benefit in adaptation time for the fine-grained module.
-#include <benchmark/benchmark.h>
-
 #include "common/table.hpp"
 #include "reconfig/reconfig.hpp"
 
@@ -95,22 +93,9 @@ void print_table() {
       "spike (paper: ~order of magnitude adaptation benefit)");
 }
 
-void BM_Reconfig(benchmark::State& state) {
-  const SimNanos interval = milliseconds(static_cast<SimNanos>(state.range(0)));
-  for (auto _ : state) {
-    const auto r = run(interval);
-    state.counters["time_to_adapt_ms"] = r.time_to_adapt_ms;
-    state.SetIterationTime(r.time_to_adapt_ms * 1e-3);
-  }
-  state.SetLabel(std::to_string(state.range(0)) + "ms-interval");
-}
-BENCHMARK(BM_Reconfig)->Arg(10)->Arg(2000)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

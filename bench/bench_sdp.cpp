@@ -5,8 +5,6 @@
 // and rendezvous overheads dominate zero-copy); zero-copy wins large;
 // AZ-SDP's overlapped transfers beat blocking ZSDP throughout, approaching
 // the claimed ~2x at intermediate sizes.
-#include <benchmark/benchmark.h>
-
 #include "common/table.hpp"
 #include "datacenter/backend.hpp"
 #include "harness.hpp"
@@ -97,23 +95,6 @@ void print_datacenter_table() {
       "communication CPU (16 KB documents)");
 }
 
-void BM_Sdp(benchmark::State& state) {
-  const auto mode = static_cast<SdpMode>(state.range(0));
-  const auto size = static_cast<std::size_t>(state.range(1));
-  const int count = 50;
-  for (auto _ : state) {
-    const double mbps = throughput_mbps(mode, size, count);
-    state.counters["MB_per_s"] = mbps;
-    state.SetIterationTime(static_cast<double>(size) * count / (mbps * 1e6));
-  }
-  state.SetLabel(std::string(to_string(mode)) + "/" +
-                 std::to_string(size / 1024) + "K");
-}
-BENCHMARK(BM_Sdp)
-    ->ArgsProduct({{0, 1, 2}, {4096, 262144}})
-    ->UseManualTime()
-    ->Iterations(1);
-
 // Observed mode (`--trace-out` / `--metrics-out`): one deterministic
 // engine streaming a fixed workload through all three SDP modes, so the
 // emitted trace shows sends, receives and stall spans side by side.  Two
@@ -191,7 +172,5 @@ int main(int argc, char** argv) {
   if (flags.observe_mode()) return run_observed(flags.observe("sdp"));
   print_table();
   print_datacenter_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

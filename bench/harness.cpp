@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/table.hpp"
 #include "trace/flight.hpp"
 #include "trace/hot.hpp"
 
@@ -33,6 +34,11 @@ std::string fmt_f3(double v) {
 }
 
 std::string quoted(const std::string& s) { return "\"" + s + "\""; }
+
+/// Host nanoseconds per dispatched event (0 for an eventless scenario).
+double ns_per_event(double wall_ns, std::uint64_t events) {
+  return events > 0 ? wall_ns / static_cast<double>(events) : 0;
+}
 
 /// Scenario names embed '/' separators; dump prefixes become file names.
 std::string sanitize(std::string name) {
@@ -152,6 +158,15 @@ void Harness::run(const std::string& scenario,
   snapshots_.push_back(std::move(snap));
 }
 
+void Harness::print_wall_table() const {
+  Table table({"scenario", "events", "ns/event"});
+  for (const Snapshot& sn : snapshots_) {
+    table.add_row({sn.name, std::to_string(sn.events),
+                   Table::fmt(ns_per_event(sn.wall_ns, sn.events), 1)});
+  }
+  table.print(bench_ + " — host wall time per dispatched event");
+}
+
 int Harness::finish() {
   int rc = 0;
   if (!opts_.bench_json.empty()) {
@@ -205,8 +220,7 @@ int Harness::finish() {
         const Snapshot& sn = snapshots_[s];
         const double secs = sn.wall_ns / 1e9;
         const double eps = secs > 0 ? static_cast<double>(sn.events) / secs : 0;
-        const double npe =
-            sn.events > 0 ? sn.wall_ns / static_cast<double>(sn.events) : 0;
+        const double npe = ns_per_event(sn.wall_ns, sn.events);
         os << "    " << quoted(sn.name) << ": {\n"
            << "      \"virtual_ns\": " << sn.virtual_ns << ",\n"
            << "      \"events\": " << sn.events << ",\n"

@@ -24,7 +24,7 @@
 //       return h.finish();
 //     }
 //     if (opts.observe_mode()) { ... trace::ObservedRun path ... }
-//     ... normal google-benchmark path ...
+//     ... print the paper tables ...
 //   }
 #pragma once
 
@@ -115,8 +115,8 @@ struct HarnessOptions {
 };
 
 /// Removes the flags above from argv (shifting later arguments down and
-/// decrementing argc) and returns the extracted values.  Call before
-/// handing argv to another parser such as benchmark::Initialize.
+/// decrementing argc) and returns the extracted values, so a bench's own
+/// argument parser sees only the arguments left over.
 HarnessOptions extract_harness_flags(int& argc, char** argv);
 
 /// Batch depths a bench sweeps for `--batch max` (powers of two up to and
@@ -166,6 +166,10 @@ class Harness {
   /// scenario ordinal standing in as the node id.
   void run(const std::string& scenario,
            const std::function<void(Scenario&)>& body);
+
+  /// Prints one row per scenario run so far to stdout: events dispatched
+  /// and host ns/event, the numbers `--bench-wall-json` records.
+  void print_wall_table() const;
 
   /// Writes the requested files.  Returns a process exit code (non-zero
   /// when a file could not be written).

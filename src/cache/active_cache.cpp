@@ -20,7 +20,7 @@ struct ActiveMetrics {
 };
 
 ActiveMetrics& metrics() {
-  static ActiveMetrics m;
+  thread_local ActiveMetrics m;
   return m;
 }
 }  // namespace

@@ -22,7 +22,7 @@ struct CoopMetrics {
 };
 
 CoopMetrics& metrics() {
-  static CoopMetrics m;
+  thread_local CoopMetrics m;
   return m;
 }
 }  // namespace

@@ -32,7 +32,7 @@ struct DdssMetrics {
 };
 
 DdssMetrics& metrics() {
-  static DdssMetrics m;
+  thread_local DdssMetrics m;
   return m;
 }
 

@@ -18,7 +18,7 @@ struct DqnlMetrics {
 };
 
 DqnlMetrics& metrics() {
-  static DqnlMetrics m;
+  thread_local DqnlMetrics m;
   return m;
 }
 }  // namespace

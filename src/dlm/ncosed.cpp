@@ -29,7 +29,7 @@ struct NcosedMetrics {
 };
 
 NcosedMetrics& metrics() {
-  static NcosedMetrics m;
+  thread_local NcosedMetrics m;
   return m;
 }
 }  // namespace

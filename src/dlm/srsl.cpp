@@ -20,7 +20,7 @@ struct SrslMetrics {
 };
 
 SrslMetrics& metrics() {
-  static SrslMetrics m;
+  thread_local SrslMetrics m;
   return m;
 }
 

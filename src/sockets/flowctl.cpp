@@ -17,7 +17,7 @@ struct FlowMetrics {
 };
 
 FlowMetrics& flow_metrics() {
-  static FlowMetrics m;
+  thread_local FlowMetrics m;
   return m;
 }
 }  // namespace

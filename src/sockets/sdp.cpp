@@ -22,7 +22,7 @@ struct SdpMetrics {
 };
 
 SdpMetrics& metrics() {
-  static SdpMetrics m;
+  thread_local SdpMetrics m;
   return m;
 }
 }  // namespace

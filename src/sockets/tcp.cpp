@@ -16,7 +16,7 @@ struct TcpMetrics {
 };
 
 TcpMetrics& metrics() {
-  static TcpMetrics m;
+  thread_local TcpMetrics m;
   return m;
 }
 }  // namespace

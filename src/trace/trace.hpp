@@ -78,7 +78,13 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// The per-thread registry all built-in instrumentation on this thread
-  /// uses (see the header comment for the sharding rationale).
+  /// uses (see the header comment for the sharding rationale).  A layer
+  /// that caches handles into it must cache them per thread too
+  /// (`thread_local XMetrics m;`): a process-wide `static` cache would pin
+  /// the first caller's registry, so every other shard worker would race
+  /// on that one registry, and the handles would dangle once that thread
+  /// exits — e.g. traffic on a second ShardedEngine worker pool after the
+  /// first pool was torn down.
   static Registry& global();
 
   Counter& counter(std::string_view name);

@@ -12,11 +12,8 @@ namespace dcs::verbs {
 namespace {
 constexpr std::size_t kHeaderBytes = 32;  // transport header on payloads
 
-/// Handles into the global registry, resolved once per thread.  The
-/// registry is one instance per OS thread (trace.hpp), so the cache must
-/// be too: a process-wide cache would pin the first caller's registry and
-/// dangle once that thread exits — e.g. verbs traffic on a second
-/// ShardedEngine worker pool after the first pool was torn down.
+/// Handles into the global registry, resolved once per thread (see
+/// trace::Registry::global()).
 struct Metrics {
   trace::Counter& read_ops = reg().counter("verbs.read.ops");
   trace::Counter& read_bytes = reg().counter("verbs.read.bytes");

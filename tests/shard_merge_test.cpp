@@ -6,15 +6,19 @@
 // lookahead-stamped delivery times.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "ddss/ddss.hpp"
+#include "dlm/ncosed.hpp"
 #include "fabric/fabric.hpp"
 #include "sim/shard.hpp"
 #include "trace/shard_metrics.hpp"
@@ -271,6 +275,79 @@ TEST(ShardMergeTest, RegistryCollectionGathersAllWorkers) {
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->value, 1u + 2u + 3u + 4u);
   trace::Registry::global().reset();
+}
+
+/// One partition's slice of the stack for the per-worker metrics test.
+struct DdssDlmHost {
+  explicit DdssDlmHost(sim::Engine& eng)
+      : fab(eng, fabric::FabricParams{},
+            fabric::ClusterSpec{.num_nodes = 2, .mem_per_node = 1u << 20}),
+        net(fab),
+        substrate(net),
+        locks(net, /*home=*/0) {}
+
+  fabric::Fabric fab;
+  verbs::Network net;
+  ddss::Ddss substrate;
+  dlm::NcosedLockManager locks;
+};
+
+/// `3n` DDSS gets, then `n` exclusive and `n` shared N-CoSED acquisitions.
+sim::Task<void> gets_and_locks(std::shared_ptr<DdssDlmHost> host,
+                               std::uint64_t n) {
+  auto client = host->substrate.client(1);
+  const auto alloc = co_await client.allocate(64, ddss::Coherence::kNull);
+  std::array<std::byte, 64> buf{};
+  for (std::uint64_t i = 0; i < 3 * n; ++i) co_await client.get(alloc, buf);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    co_await host->locks.lock(1, 0, dlm::LockMode::kExclusive);
+    co_await host->locks.unlock(1, 0);
+    co_await host->locks.lock(1, 0, dlm::LockMode::kShared);
+    co_await host->locks.unlock(1, 0);
+  }
+}
+
+TEST(ShardMergeTest, LayerMetricsLandInTheOwningWorkersRegistry) {
+  // DDSS and N-CoSED cache their registry handles per thread.  A
+  // process-wide cache would pin the first worker's registry, and the
+  // other worker's traffic would race into it.
+  constexpr std::uint32_t kPartitions = 2;
+  struct Seen {
+    std::uint64_t n = 0;  // sum of (p + 1) over the worker's partitions
+    std::uint64_t gets = 0, exclusive = 0, shared = 0;
+  };
+  std::array<std::thread::id, kPartitions> owner{};
+  std::array<Seen, kPartitions> seen{};
+  {
+    ShardedEngine sharded(spec_for(kPartitions, kPartitions));
+    sharded.setup([&owner](Shard& shard) {
+      owner[shard.index()] = std::this_thread::get_id();
+      auto host = std::make_shared<DdssDlmHost>(shard.engine());
+      host->substrate.start();
+      shard.engine().spawn(gets_and_locks(host, shard.index() + 1));
+      shard.keep_alive(host);
+    });
+    sharded.run();
+    sharded.for_each_worker([&](std::uint32_t w) {
+      auto value = [](const char* name) -> std::uint64_t {
+        const auto* c = trace::Registry::global().find_counter(name);
+        return c != nullptr ? c->value : 0;
+      };
+      for (std::uint32_t p = 0; p < kPartitions; ++p) {
+        if (owner[p] == std::this_thread::get_id()) seen[w].n += p + 1;
+      }
+      seen[w].gets = value("ddss.get.ops");
+      seen[w].exclusive = value("dlm.ncosed.exclusive_acquires");
+      seen[w].shared = value("dlm.ncosed.shared_acquires");
+    });
+  }
+  for (std::uint32_t w = 0; w < kPartitions; ++w) {
+    SCOPED_TRACE("worker " + std::to_string(w));
+    EXPECT_GT(seen[w].n, 0u);
+    EXPECT_EQ(seen[w].gets, 3 * seen[w].n);
+    EXPECT_EQ(seen[w].exclusive, seen[w].n);
+    EXPECT_EQ(seen[w].shared, seen[w].n);
+  }
 }
 
 TEST(ShardMergeTest, WorkerExceptionsPropagate) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verification: configure, build, and run the full ctest suite.
 # This is the exact sequence CI and reviewers use; a fresh clone passes with
-# nothing but CMake and a C++20 toolchain (GTest/benchmark are fetched or
-# found by the top-level CMakeLists).
+# nothing but CMake, a C++20 toolchain and GTest (found by the top-level
+# CMakeLists).
 #
 # Usage: tools/run_tier1.sh [--san asan|tsan] [--bench-json DIR] [build-dir]
 #   --san asan        build + test under AddressSanitizer/UBSan (CMake preset)
