@@ -9,6 +9,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -17,14 +18,10 @@ using cache::ActiveCache;
 using cache::DataObject;
 using cache::DynamicPolicy;
 
-struct Outcome {
-  double mean_latency_us;
-  double stale_fraction;
-  double recompute_fraction;
-};
-
-Outcome run_policy(DynamicPolicy policy, SimNanos update_period) {
-  sim::Engine eng;
+/// Metrics: mean_latency_us, stale_fraction, recompute_fraction.
+void run_policy(bench::Scenario& sc, DynamicPolicy policy,
+                SimNanos update_period) {
+  auto& eng = sc.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 4, .cores_per_node = 2,
                       .mem_per_node = 2u << 20});
@@ -87,21 +84,25 @@ Outcome run_policy(DynamicPolicy policy, SimNanos update_period) {
   eng.run();
 
   const auto& s = cache.stats();
-  return Outcome{
-      latency.mean(),
-      static_cast<double>(s.stale_served) / static_cast<double>(s.requests),
-      static_cast<double>(s.recomputed) / static_cast<double>(s.requests)};
+  sc.metric("mean_latency_us", latency.mean());
+  sc.metric("stale_fraction", static_cast<double>(s.stale_served) /
+                                  static_cast<double>(s.requests));
+  sc.metric("recompute_fraction", static_cast<double>(s.recomputed) /
+                                      static_cast<double>(s.requests));
 }
 
-void print_table() {
+void print_table(bench::Harness& h) {
   Table table({"policy", "mean latency (us)", "stale responses",
                "recompute fraction"});
   for (const auto policy : {DynamicPolicy::kNoCache, DynamicPolicy::kTtl,
                             DynamicPolicy::kStrong}) {
-    const auto r = run_policy(policy, milliseconds(2));
-    table.add_row({to_string(policy), Table::fmt(r.mean_latency_us, 0),
-                   Table::fmt(100 * r.stale_fraction, 1) + " %",
-                   Table::fmt(100 * r.recompute_fraction, 1) + " %"});
+    auto r = h.run(std::string("policy/") + to_string(policy),
+                   [&](bench::Scenario& s) {
+                     run_policy(s, policy, milliseconds(2));
+                   });
+    table.add_row({to_string(policy), Table::fmt(r["mean_latency_us"], 0),
+                   Table::fmt(100 * r["stale_fraction"], 1) + " %",
+                   Table::fmt(100 * r["recompute_fraction"], 1) + " %"});
   }
   table.print(
       "Section 3/[12] — dynamic-content caching with multiple dependencies "
@@ -110,7 +111,9 @@ void print_table() {
 
 }  // namespace
 
-int main() {
-  print_table();
-  return 0;
+int main(int argc, char** argv) {
+  const auto opts = bench::extract_harness_flags("active_cache", argc, argv);
+  bench::Harness h("active_cache", opts);
+  print_table(h);
+  return h.finish();
 }

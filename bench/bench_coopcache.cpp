@@ -11,6 +11,7 @@
 #include "common/zipf.hpp"
 #include "datacenter/clients.hpp"
 #include "datacenter/webfarm.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -26,16 +27,12 @@ const std::vector<cache::Scheme> kSchemes = {
     cache::Scheme::kMTACC, cache::Scheme::kHYBCC};
 const std::vector<std::size_t> kFileSizes = {8192, 16384, 32768, 65536};
 
-struct RunResult {
-  double tps;
-  double hit_rate;
-};
-
-RunResult run_datacenter(cache::Scheme scheme, std::size_t file_bytes,
-                         std::size_t num_proxies) {
+/// Metrics: tps and hit_rate.
+void run_datacenter(bench::Scenario& s, cache::Scheme scheme,
+                    std::size_t file_bytes, std::size_t num_proxies) {
   // Layout: [0,1] clients, [2 .. 2+P) proxies, then 2 donors, 2 backends.
   const std::size_t total_nodes = 2 + num_proxies + 2 + 2;
-  sim::Engine eng;
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = total_nodes, .cores_per_node = 2,
                       .mem_per_node = 64u << 20});
@@ -72,20 +69,27 @@ RunResult run_datacenter(cache::Scheme scheme, std::size_t file_bytes,
 
   DCS_CHECK(farm_clients.stats().completed == kRequests);
   DCS_CHECK(farm_clients.stats().integrity_failures == 0);
-  return RunResult{farm_clients.stats().tps(), coop.stats().hit_rate()};
+  s.metric("tps", farm_clients.stats().tps());
+  s.metric("hit_rate", coop.stats().hit_rate());
 }
 
-void print_fig6(std::size_t num_proxies, const char* title) {
+void print_fig6(bench::Harness& h, std::size_t num_proxies,
+                const char* title) {
   std::vector<std::string> header = {"file size"};
   for (const auto s : kSchemes) header.push_back(cache::to_string(s));
   Table tps_table(header);
   Table hit_table(header);
   for (const std::size_t size : kFileSizes) {
     std::vector<double> tps_row, hit_row;
-    for (const auto s : kSchemes) {
-      const auto r = run_datacenter(s, size, num_proxies);
-      tps_row.push_back(r.tps);
-      hit_row.push_back(100.0 * r.hit_rate);
+    for (const auto scheme : kSchemes) {
+      auto r = h.run(std::to_string(num_proxies) + "proxies/" +
+                         cache::to_string(scheme) + "/" +
+                         std::to_string(size / 1024) + "k",
+                     [&](bench::Scenario& s) {
+                       run_datacenter(s, scheme, size, num_proxies);
+                     });
+      tps_row.push_back(r["tps"]);
+      hit_row.push_back(100.0 * r["hit_rate"]);
     }
     tps_table.add_row(std::to_string(size / 1024) + "k", tps_row, 0);
     hit_table.add_row(std::to_string(size / 1024) + "k", hit_row, 1);
@@ -96,10 +100,13 @@ void print_fig6(std::size_t num_proxies, const char* title) {
 
 }  // namespace
 
-int main() {
-  print_fig6(2,
+int main(int argc, char** argv) {
+  const auto opts = bench::extract_harness_flags("coopcache", argc, argv);
+  bench::Harness h("coopcache", opts);
+  print_fig6(h, 2,
              "Figure 6a — data-center throughput (TPS), two proxy nodes "
              "(paper: advanced schemes up to ~35 % over BCC)");
-  print_fig6(8, "Figure 6b — data-center throughput (TPS), eight proxy nodes");
-  return 0;
+  print_fig6(h, 8,
+             "Figure 6b — data-center throughput (TPS), eight proxy nodes");
+  return h.finish();
 }

@@ -375,13 +375,6 @@ std::uint64_t counter_value(const char* name) {
   return c != nullptr ? c->value : 0;
 }
 
-bool parse_u64(const char* arg, const char* flag, std::uint64_t* out) {
-  const std::size_t n = std::strlen(flag);
-  if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
-  *out = std::strtoull(arg + n + 1, nullptr, 10);
-  return true;
-}
-
 int run(const ScaleConfig& cfg, const bench::HarnessOptions& opts) {
   using Clock = std::chrono::steady_clock;
   trace::Registry::global().reset();
@@ -417,6 +410,7 @@ int run(const ScaleConfig& cfg, const bench::HarnessOptions& opts) {
   const double secs = static_cast<double>(wall_ns) / 1e9;
   const double eps = secs > 0 ? static_cast<double>(total_events) / secs : 0;
 
+  int rc = 0;
   const std::uint64_t resp = counter_value("scale.remote.resp");
   const std::uint64_t rtt_total = counter_value("scale.remote.rtt_total_ns");
   std::printf("datacenter_scale: nodes=%zu partitions=%u shards=%u seed=%" PRIu64
@@ -476,15 +470,11 @@ int run(const ScaleConfig& cfg, const bench::HarnessOptions& opts) {
       std::fputs(stream.str().c_str(), stdout);
     }
     if (!opts.timeseries_out.empty()) {
-      std::ofstream os(opts.timeseries_out);
-      if (!os) {
-        std::fprintf(stderr, "bench: cannot open %s\n",
-                     opts.timeseries_out.c_str());
-        return 1;
-      }
-      obs::write_timeseries_json(os, merged, merged_slo.alerts());
-      std::fprintf(stderr, "bench: %zu series -> %s\n", merged.all().size(),
-                   opts.timeseries_out.c_str());
+      rc |= bench::write_file(
+          opts.timeseries_out, std::to_string(merged.all().size()) + " series",
+          [&](std::ostream& os) {
+            obs::write_timeseries_json(os, merged, merged_slo.alerts());
+          });
     }
   }
 
@@ -517,66 +507,52 @@ int run(const ScaleConfig& cfg, const bench::HarnessOptions& opts) {
       }
     }
     if (!opts.hotset_out.empty()) {
-      std::ofstream os(opts.hotset_out);
-      if (!os) {
-        std::fprintf(stderr, "bench: cannot open %s\n",
-                     opts.hotset_out.c_str());
-        return 1;
-      }
-      obs::write_hotset_json(os, hot);
-      std::fprintf(stderr, "bench: hotset -> %s\n", opts.hotset_out.c_str());
+      rc |= bench::write_file(opts.hotset_out, "hotset", [&](std::ostream& os) {
+        obs::write_hotset_json(os, hot);
+      });
     }
     if (!opts.exemplars_out.empty()) {
-      std::ofstream os(opts.exemplars_out);
-      if (!os) {
-        std::fprintf(stderr, "bench: cannot open %s\n",
-                     opts.exemplars_out.c_str());
-        return 1;
-      }
-      trace::write_exemplar_json(os, exemplars);
-      std::fprintf(stderr, "bench: exemplars -> %s\n",
-                   opts.exemplars_out.c_str());
+      rc |= bench::write_file(
+          opts.exemplars_out, "exemplars",
+          [&](std::ostream& os) { trace::write_exemplar_json(os, exemplars); });
     }
   }
 
   if (!opts.wall_json.empty()) {
-    std::ofstream os(opts.wall_json);
-    if (!os) {
-      std::fprintf(stderr, "bench: cannot open %s\n", opts.wall_json.c_str());
-      return 1;
-    }
-    // dcs-bench-wall-v1 with list-valued events (per partition) and
-    // wall_ns (per worker); consumers reduce with sum / max respectively.
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "0x%016" PRIx64, sharded.merged_fingerprint());
-    os << "{\n  \"schema\": \"dcs-bench-wall-v1\",\n"
-       << "  \"bench\": \"datacenter_scale\",\n  \"scenarios\": {\n"
-       << "    \"zipf/nodes=" << cfg.nodes << "\": {\n"
-       << "      \"virtual_ns\": " << sharded.now() << ",\n"
-       << "      \"fingerprint\": \"" << fp << "\",\n"
-       << "      \"partitions\": " << cfg.partitions << ",\n"
-       << "      \"shards\": " << sharded.workers() << ",\n"
-       << "      \"cross_messages\": " << sharded.cross_messages() << ",\n"
-       << "      \"events\": [";
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      os << (i ? ", " : "") << events[i];
-    }
-    os << "],\n      \"wall_ns\": [";
-    for (std::size_t i = 0; i < worker_wall.size(); ++i) {
-      os << (i ? ", " : "") << worker_wall[i];
-    }
-    char eps_s[64], npe_s[64];
-    std::snprintf(eps_s, sizeof eps_s, "%.3f", eps);
-    std::snprintf(npe_s, sizeof npe_s, "%.3f",
-                  total_events > 0
-                      ? static_cast<double>(wall_ns) / total_events
-                      : 0.0);
-    os << "],\n      \"events_per_sec\": " << eps_s << ",\n"
-       << "      \"ns_per_event\": " << npe_s << "\n    }\n  }\n}\n";
-    std::fprintf(stderr, "bench: wall telemetry -> %s\n",
-                 opts.wall_json.c_str());
+    rc |= bench::write_file(opts.wall_json, "wall telemetry",
+                            [&](std::ostream& os) {
+      // dcs-bench-wall-v1 with list-valued events (per partition) and
+      // wall_ns (per worker); consumers reduce with sum / max respectively.
+      char fp[32];
+      std::snprintf(fp, sizeof fp, "0x%016" PRIx64,
+                    sharded.merged_fingerprint());
+      os << "{\n  \"schema\": \"dcs-bench-wall-v1\",\n"
+         << "  \"bench\": \"datacenter_scale\",\n  \"scenarios\": {\n"
+         << "    \"zipf/nodes=" << cfg.nodes << "\": {\n"
+         << "      \"virtual_ns\": " << sharded.now() << ",\n"
+         << "      \"fingerprint\": \"" << fp << "\",\n"
+         << "      \"partitions\": " << cfg.partitions << ",\n"
+         << "      \"shards\": " << sharded.workers() << ",\n"
+         << "      \"cross_messages\": " << sharded.cross_messages() << ",\n"
+         << "      \"events\": [";
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        os << (i ? ", " : "") << events[i];
+      }
+      os << "],\n      \"wall_ns\": [";
+      for (std::size_t i = 0; i < worker_wall.size(); ++i) {
+        os << (i ? ", " : "") << worker_wall[i];
+      }
+      char eps_s[64], npe_s[64];
+      std::snprintf(eps_s, sizeof eps_s, "%.3f", eps);
+      std::snprintf(npe_s, sizeof npe_s, "%.3f",
+                    total_events > 0
+                        ? static_cast<double>(wall_ns) / total_events
+                        : 0.0);
+      os << "],\n      \"events_per_sec\": " << eps_s << ",\n"
+         << "      \"ns_per_event\": " << npe_s << "\n    }\n  }\n}\n";
+    });
   }
-  return 0;
+  return rc;
 }
 
 }  // namespace
@@ -585,27 +561,18 @@ int run(const ScaleConfig& cfg, const bench::HarnessOptions& opts) {
 int main(int argc, char** argv) {
   auto opts = dcs::bench::extract_harness_flags(argc, argv);
   dcs::ScaleConfig cfg;
-  std::uint64_t v = 0;
   for (int i = 1; i < argc; ++i) {
-    if (dcs::parse_u64(argv[i], "--nodes", &v)) {
-      cfg.nodes = static_cast<std::size_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--partitions", &v)) {
-      cfg.partitions = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--shards", &v)) {
-      cfg.shards = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--seed", &v)) {
-      cfg.seed = v;
-    } else if (dcs::parse_u64(argv[i], "--clients", &v)) {
-      cfg.clients = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--ops", &v)) {
-      cfg.ops = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--hot-shard", &v)) {
-      cfg.hot_shard = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--scrape-us", &v)) {
-      cfg.scrape_us = v;
-    } else if (dcs::parse_u64(argv[i], "--scrapes", &v)) {
-      cfg.scrapes = v;
-    } else {
+    using dcs::bench::parse_flag;
+    const char* a = argv[i];
+    if (!(parse_flag(a, "--nodes", &cfg.nodes) ||
+          parse_flag(a, "--partitions", &cfg.partitions) ||
+          parse_flag(a, "--shards", &cfg.shards) ||
+          parse_flag(a, "--seed", &cfg.seed) ||
+          parse_flag(a, "--clients", &cfg.clients) ||
+          parse_flag(a, "--ops", &cfg.ops) ||
+          parse_flag(a, "--hot-shard", &cfg.hot_shard) ||
+          parse_flag(a, "--scrape-us", &cfg.scrape_us) ||
+          parse_flag(a, "--scrapes", &cfg.scrapes))) {
       std::fprintf(stderr,
                    "usage: %s [--nodes=N] [--partitions=P] [--shards=W] "
                    "[--seed=S] [--clients=C] [--ops=K] [--hot-shard=P] "
@@ -617,10 +584,15 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (cfg.partitions == 0 || cfg.nodes % cfg.partitions != 0) {
+  if (cfg.nodes == 0 || cfg.partitions == 0 ||
+      cfg.nodes % cfg.partitions != 0) {
     std::fprintf(stderr,
                  "datacenter_scale: --nodes must be a positive multiple of "
                  "--partitions\n");
+    return 2;
+  }
+  if (cfg.scrape_us == 0) {
+    std::fprintf(stderr, "datacenter_scale: --scrape-us must be > 0\n");
     return 2;
   }
   if (cfg.hot_shard != dcs::kNoHotShard && cfg.hot_shard >= cfg.partitions) {

@@ -107,34 +107,27 @@ void fanout_64(Engine& eng, int msgs_per_node) {
   eng.run();
 }
 
-// --- harness scenarios ----------------------------------------------------
-
-int run_harness(const bench::HarnessOptions& opts) {
-  bench::Harness h("engine", opts);
-  h.run("timer_churn/64x2000", [](bench::Scenario& s) {
-    timer_churn(s.engine(), 64, 2000);
-    s.metric("events", static_cast<double>(s.engine().events_dispatched()));
-  });
-  h.run("channel_pingpong/200k", [](bench::Scenario& s) {
-    channel_pingpong(s.engine(), 200'000);
-    s.metric("events", static_cast<double>(s.engine().events_dispatched()));
-  });
-  h.run("spawn_join_storm/4000x16", [](bench::Scenario& s) {
-    spawn_join_storm(s.engine(), 4000, 16);
-    s.metric("events", static_cast<double>(s.engine().events_dispatched()));
-  });
-  h.run("fanout_64/1000", [](bench::Scenario& s) {
-    fanout_64(s.engine(), 1000);
-    s.metric("events", static_cast<double>(s.engine().events_dispatched()));
-  });
-  h.print_wall_table();
-  return h.finish();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   // The scenarios always run; harness flags add the telemetry files, and
   // --postmortem-dir arms a flight recorder around every scenario.
-  return run_harness(dcs::bench::extract_harness_flags(argc, argv));
+  const auto opts = bench::extract_harness_flags("engine", argc, argv);
+  bench::Harness h("engine", opts);
+  const std::pair<const char*, void (*)(Engine&)> kScenarios[] = {
+      {"timer_churn/64x2000", [](Engine& e) { timer_churn(e, 64, 2000); }},
+      {"channel_pingpong/200k",
+       [](Engine& e) { channel_pingpong(e, 200'000); }},
+      {"spawn_join_storm/4000x16",
+       [](Engine& e) { spawn_join_storm(e, 4000, 16); }},
+      {"fanout_64/1000", [](Engine& e) { fanout_64(e, 1000); }},
+  };
+  for (const auto& [name, workload] : kScenarios) {
+    h.run(name, [&](bench::Scenario& s) {
+      workload(s.engine());
+      s.metric("events", static_cast<double>(s.engine().events_dispatched()));
+    });
+  }
+  h.print_wall_table();
+  return h.finish();
 }

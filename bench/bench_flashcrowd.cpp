@@ -16,6 +16,7 @@
 // All three services run on the RDMA monitoring primitive.
 #include "common/table.hpp"
 #include "datacenter/admission.hpp"
+#include "harness.hpp"
 #include "reconfig/reconfig.hpp"
 
 namespace {
@@ -27,19 +28,16 @@ struct Config {
   bool reconfig;
 };
 
-struct Outcome {
-  double p95_us;        // site-0 latency of served requests
-  double drop_rate;     // of site-0 requests
-  double other_p95_us;  // collateral damage on the steady site
-  std::uint64_t moves;
-};
 
 constexpr SimNanos kSpikeStart = milliseconds(200);
 constexpr SimNanos kSpikeEnd = milliseconds(700);
 constexpr SimNanos kRunEnd = milliseconds(1200);
 
-Outcome run_config(Config config) {
-  sim::Engine eng;
+/// Metrics: p95_us (site-0 latency of served requests), drop_rate (of
+/// site-0 requests), other_p95_us (collateral damage on the steady site),
+/// moves.
+void run_config(bench::Scenario& sc, Config config) {
+  auto& eng = sc.engine();
   // Node 0: front-end; 1..6: app pool.
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 7, .cores_per_node = 1});
@@ -108,13 +106,14 @@ Outcome run_config(Config config) {
                     dummy_dropped));
   eng.run_until(kRunEnd + milliseconds(300));
 
-  return Outcome{site0_lat.percentile(95),
-                 static_cast<double>(site0_dropped) /
-                     static_cast<double>(site0_offered),
-                 site1_lat.percentile(95), svc.reconfigurations()};
+  sc.metric("p95_us", site0_lat.percentile(95));
+  sc.metric("drop_rate", static_cast<double>(site0_dropped) /
+                            static_cast<double>(site0_offered));
+  sc.metric("other_p95_us", site1_lat.percentile(95));
+  sc.metric("moves", static_cast<double>(svc.reconfigurations()));
 }
 
-void print_table() {
+void print_table(bench::Harness& h) {
   Table table({"configuration", "site-0 p95 (us)", "site-0 drops",
                "site-1 p95 (us)", "moves"});
   const std::vector<std::pair<const char*, Config>> kConfigs = {
@@ -124,10 +123,12 @@ void print_table() {
       {"admission + reconfiguration", {true, true}},
   };
   for (const auto& [name, config] : kConfigs) {
-    const auto r = run_config(config);
-    table.add_row({name, Table::fmt(r.p95_us, 0),
-                   Table::fmt(100 * r.drop_rate, 1) + " %",
-                   Table::fmt(r.other_p95_us, 0), std::to_string(r.moves)});
+    auto r = h.run(std::string("config/") + name,
+                   [&](bench::Scenario& s) { run_config(s, config); });
+    table.add_row({name, Table::fmt(r["p95_us"], 0),
+                   Table::fmt(100 * r["drop_rate"], 1) + " %",
+                   Table::fmt(r["other_p95_us"], 0),
+                   Table::fmt(r["moves"], 0)});
   }
   table.print(
       "Flash crowd (10x arrival spike for 500 ms) — the framework's "
@@ -136,7 +137,9 @@ void print_table() {
 
 }  // namespace
 
-int main() {
-  print_table();
-  return 0;
+int main(int argc, char** argv) {
+  const auto opts = bench::extract_harness_flags("flashcrowd", argc, argv);
+  bench::Harness h("flashcrowd", opts);
+  print_table(h);
+  return h.finish();
 }

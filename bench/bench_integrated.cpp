@@ -19,6 +19,8 @@
 //
 // Reported: web-service hit rate and request latency after the move, plus
 // batch-site completion time.
+#include <tuple>
+
 #include "cache/coop_cache.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
@@ -31,26 +33,15 @@ namespace {
 using namespace dcs;
 
 enum class Policy { kStatic, kBlind, kCacheAware };
-const char* name_of(Policy p) {
-  switch (p) {
-    case Policy::kStatic: return "no reconfiguration";
-    case Policy::kBlind: return "blind reconfiguration";
-    case Policy::kCacheAware: return "cache-aware reconfiguration";
-  }
-  return "?";
-}
-
-struct IntegratedResult {
-  double web_hit_rate_after;   // hit rate in the post-move window
-  double web_latency_us;       // mean web request latency post-move
-  double batch_done_ms;        // batch-site makespan (inf if starved)
-  std::uint64_t moves;
-};
 
 constexpr SimNanos kWarm = milliseconds(200);
 constexpr SimNanos kEnd = milliseconds(900);
 
-IntegratedResult run_policy_on(sim::Engine& eng, Policy policy) {
+/// Metrics: web_hit_rate (hit rate in the post-move window),
+/// web_latency_us (mean web request latency post-move), batch_makespan_ms
+/// (batch-site makespan, -1 if starved), moves.
+void run_policy(bench::Scenario& sc, Policy policy) {
+  auto& eng = sc.engine();
   // Node 0: front-end/manager; 1..4: pool (web proxies / batch); 5 backend.
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 6, .cores_per_node = 1});
@@ -91,7 +82,6 @@ IntegratedResult run_policy_on(sim::Engine& eng, Policy policy) {
 
   // Web traffic: skewed so nodes 1 and 2 accumulate the hottest caches
   // (sessions prefer low-numbered proxies for popular documents).
-  IntegratedResult result{0, 0, 0, 0};
   RunningStat post_latency;
   std::uint64_t post_hits = 0, post_total = 0;
   for (int session = 0; session < 6; ++session) {
@@ -150,45 +140,44 @@ IntegratedResult run_policy_on(sim::Engine& eng, Policy policy) {
 
   eng.run_until(kEnd + milliseconds(50));
 
-  result.web_hit_rate_after =
-      post_total > 0 ? static_cast<double>(post_hits) /
-                           static_cast<double>(post_total)
-                     : 0;
-  result.web_latency_us = post_latency.mean();
-  result.batch_done_ms =
-      batch_done > 0 ? to_millis(batch_done - kWarm) : -1.0;
-  result.moves = svc.reconfigurations();
-  return result;
+  sc.metric("web_hit_rate", post_total > 0
+                                ? static_cast<double>(post_hits) /
+                                      static_cast<double>(post_total)
+                                : 0);
+  sc.metric("web_latency_us", post_latency.mean());
+  sc.metric("batch_makespan_ms",
+            batch_done > 0 ? to_millis(batch_done - kWarm) : -1.0);
+  sc.metric("moves", static_cast<double>(svc.reconfigurations()));
 }
 
-IntegratedResult run_policy(Policy policy) {
-  sim::Engine eng;
-  return run_policy_on(eng, policy);
-}
-
-void print_table() {
+void print_table(bench::Harness& h) {
   Table table({"policy", "web hit rate (post-move)", "web latency (us)",
                "batch makespan (ms)", "moves"});
-  for (const Policy p :
-       {Policy::kStatic, Policy::kBlind, Policy::kCacheAware}) {
-    const auto r = run_policy(p);
-    table.add_row({name_of(p), Table::fmt(100 * r.web_hit_rate_after, 1) + " %",
-                   Table::fmt(r.web_latency_us, 0),
-                   r.batch_done_ms < 0 ? "starved"
-                                       : Table::fmt(r.batch_done_ms, 0),
-                   std::to_string(r.moves)});
+  const std::vector<std::tuple<const char*, const char*, Policy>> kPolicies =
+      {
+          {"no reconfiguration", "policy/static", Policy::kStatic},
+          {"blind reconfiguration", "policy/blind", Policy::kBlind},
+          {"cache-aware reconfiguration", "policy/cache-aware",
+           Policy::kCacheAware},
+      };
+  for (const auto& [label, name, policy] : kPolicies) {
+    auto r = h.run(name, [&](bench::Scenario& s) { run_policy(s, policy); });
+    table.add_row({label, Table::fmt(100 * r["web_hit_rate"], 1) + " %",
+                   Table::fmt(r["web_latency_us"], 0),
+                   r["batch_makespan_ms"] < 0
+                       ? "starved"
+                       : Table::fmt(r["batch_makespan_ms"], 0),
+                   Table::fmt(r["moves"], 0)});
   }
   table.print(
       "Section 6 (integrated) — caching + monitoring + reconfiguration "
       "(cache-aware donor selection avoids corrupting the hottest cache)");
 }
 
-// Harnessed scenarios (docs/BENCHMARKS.md).  The transport pair is the
-// paper's Section 5.2 effect end to end: identical document fetches over
-// the two-sided host-TCP path vs the one-sided SDP rendezvous, each fetch
-// wrapped in a trace::Request so the critical-path analyzer attributes its
-// latency — host-cpu share shrinks two-sided -> one-sided.  The policy
-// scenarios snapshot the integrated Section 6 experiment.
+// The paper's Section 5.2 effect end to end: identical document fetches
+// over the two-sided host-TCP path vs the one-sided SDP rendezvous, each
+// fetch wrapped in a trace::Request so the critical-path analyzer
+// attributes its latency — host-cpu share shrinks two-sided -> one-sided.
 void run_transport(bench::Scenario& s, datacenter::BackendTransport t) {
   auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
@@ -219,37 +208,25 @@ void run_transport(bench::Scenario& s, datacenter::BackendTransport t) {
            to_micros(fab.node(3).busy_ns()) / kFetches);
 }
 
-int run_harness(const bench::HarnessOptions& opts) {
-  bench::Harness h("integrated", opts);
+void print_transport_table(bench::Harness& h) {
+  const std::size_t first = h.scenarios();
   h.run("two-sided", [](bench::Scenario& s) {
     run_transport(s, datacenter::BackendTransport::kTcp);
   });
   h.run("one-sided", [](bench::Scenario& s) {
     run_transport(s, datacenter::BackendTransport::kSdp);
   });
-  for (const Policy p :
-       {Policy::kStatic, Policy::kBlind, Policy::kCacheAware}) {
-    const char* label = p == Policy::kStatic    ? "policy/static"
-                        : p == Policy::kBlind   ? "policy/blind"
-                                                : "policy/cache-aware";
-    h.run(label, [p](bench::Scenario& s) {
-      const auto r = run_policy_on(s.engine(), p);
-      s.metric("web_hit_rate", r.web_hit_rate_after);
-      s.metric("web_latency_us", r.web_latency_us);
-      s.metric("batch_makespan_ms", r.batch_done_ms);
-      s.metric("moves", static_cast<double>(r.moves));
-    });
-  }
-  return h.finish();
+  h.print_table(
+      "Section 5.2 — two-sided host-TCP vs one-sided SDP document fetches",
+      first);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto harness = bench::extract_harness_flags(argc, argv);
-  if (harness.harness_mode() || !harness.postmortem_dir.empty()) {
-    return run_harness(harness);
-  }
-  print_table();
-  return 0;
+  const auto opts = bench::extract_harness_flags("integrated", argc, argv);
+  bench::Harness h("integrated", opts);
+  print_table(h);
+  print_transport_table(h);
+  return h.finish();
 }

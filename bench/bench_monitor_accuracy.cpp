@@ -20,13 +20,9 @@ const std::vector<MonScheme> kSchemes = {
     MonScheme::kSocketAsync, MonScheme::kSocketSync, MonScheme::kRdmaAsync,
     MonScheme::kRdmaSync};
 
-struct AccuracyResult {
-  std::vector<double> deviation_series;  // per 1 ms sample
-  double mean_abs_dev;
-  double max_abs_dev;
-};
-
-AccuracyResult measure_on(sim::Engine& eng, MonScheme scheme) {
+/// Metrics: mean_abs_dev, max_abs_dev, samples, pct_exact.
+void measure(bench::Scenario& s, MonScheme scheme) {
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 2, .cores_per_node = 1});
   verbs::Network net(fab);
@@ -48,48 +44,45 @@ AccuracyResult measure_on(sim::Engine& eng, MonScheme scheme) {
     }
   }(eng, fab));
 
-  AccuracyResult result{{}, 0, 0};
+  // Per 1 ms sample.  A slow (loaded) scheme completes fewer samples
+  // inside the window; the stats cover the samples it completed.
+  std::vector<double> deviations;
   eng.spawn([](sim::Engine& e, fabric::Fabric& f,
                monitor::ResourceMonitor& m,
-               AccuracyResult& out) -> sim::Task<void> {
+               std::vector<double>& out) -> sim::Task<void> {
     co_await e.delay(milliseconds(10));  // let daemons settle
-    RunningStat dev;
-    // A slow (loaded) scheme completes fewer samples inside the window;
-    // stats are updated per sample so partial runs report correctly.
     for (int i = 0; i < 400; ++i) {
       co_await e.delay(milliseconds(1));
       const auto sample = co_await m.query(1);
       const auto actual = f.node(1).kernel_stats().threads;
-      const double d = std::abs(static_cast<double>(sample.stats.threads) -
-                                static_cast<double>(actual));
-      out.deviation_series.push_back(d);
-      dev.add(d);
-      out.mean_abs_dev = dev.mean();
-      out.max_abs_dev = dev.max();
+      out.push_back(std::abs(static_cast<double>(sample.stats.threads) -
+                             static_cast<double>(actual)));
     }
-  }(eng, fab, mon, result));
+  }(eng, fab, mon, deviations));
   eng.run_until(milliseconds(900));
-  return result;
+  RunningStat dev;
+  std::size_t exact = 0;
+  for (const double d : deviations) {
+    dev.add(d);
+    exact += (d < 0.5);
+  }
+  s.metric("mean_abs_dev", dev.mean());
+  s.metric("max_abs_dev", dev.max());
+  s.metric("samples", static_cast<double>(deviations.size()));
+  s.metric("pct_exact", 100.0 * static_cast<double>(exact) /
+                            static_cast<double>(deviations.size()));
 }
 
-AccuracyResult measure(MonScheme scheme) {
-  sim::Engine eng;
-  return measure_on(eng, scheme);
-}
-
-void print_fig8a() {
+void print_fig8a(bench::Harness& h) {
   Table table({"scheme", "mean |deviation|", "max |deviation|",
                "% samples exact"});
   for (const auto scheme : kSchemes) {
-    const auto r = measure(scheme);
-    std::size_t exact = 0;
-    for (const double d : r.deviation_series) exact += (d < 0.5);
-    table.add_row(
-        {monitor::to_string(scheme), Table::fmt(r.mean_abs_dev, 3),
-         Table::fmt(r.max_abs_dev, 1),
-         Table::fmt(100.0 * static_cast<double>(exact) /
-                        static_cast<double>(r.deviation_series.size()),
-                    1)});
+    auto r = h.run(std::string("accuracy/") + monitor::to_string(scheme),
+                   [scheme](bench::Scenario& s) { measure(s, scheme); });
+    table.add_row({monitor::to_string(scheme),
+                   Table::fmt(r["mean_abs_dev"], 3),
+                   Table::fmt(r["max_abs_dev"], 1),
+                   Table::fmt(r["pct_exact"], 1)});
   }
   table.print(
       "Figure 8a — deviation of reported vs actual thread count under "
@@ -100,7 +93,7 @@ void print_fig8a() {
 // *monitored* node per monitoring frequency.  RDMA-based monitoring costs
 // the target nothing at any rate; socket daemons charge kernel+daemon CPU
 // per sample, which is why classic systems monitored coarsely.
-void print_intrusiveness() {
+void print_intrusiveness(bench::Harness& h) {
   Table table({"scheme", "1 ms sampling", "10 ms sampling",
                "100 ms sampling"});
   for (const auto scheme :
@@ -108,22 +101,27 @@ void print_intrusiveness() {
     std::vector<std::string> row = {monitor::to_string(scheme)};
     for (const SimNanos period :
          {milliseconds(1), milliseconds(10), milliseconds(100)}) {
-      sim::Engine eng;
-      fabric::Fabric fab(eng, fabric::FabricParams{},
-                         {.num_nodes = 2, .cores_per_node = 1});
-      verbs::Network net(fab);
-      sockets::TcpNetwork tcp(fab);
-      monitor::ResourceMonitor mon(net, tcp, 0, {1}, scheme);
-      mon.start();
-      eng.spawn([](sim::Engine& e, monitor::ResourceMonitor& m,
-                   SimNanos p) -> sim::Task<void> {
-        while (e.now() < seconds(1)) {
-          co_await e.delay(p);
-          (void)co_await m.query(1);
-        }
-      }(eng, mon, period));
-      eng.run_until(seconds(1));
-      const double pct = 100.0 * fab.node(1).utilization();
+      const std::string name = std::string("intrusiveness/") +
+                               monitor::to_string(scheme) + "/" +
+                               std::to_string(period / milliseconds(1)) + "ms";
+      const double pct = h.run(name, [&](bench::Scenario& s) {
+        auto& eng = s.engine();
+        fabric::Fabric fab(eng, fabric::FabricParams{},
+                           {.num_nodes = 2, .cores_per_node = 1});
+        verbs::Network net(fab);
+        sockets::TcpNetwork tcp(fab);
+        monitor::ResourceMonitor mon(net, tcp, 0, {1}, scheme);
+        mon.start();
+        eng.spawn([](sim::Engine& e, monitor::ResourceMonitor& m,
+                     SimNanos p) -> sim::Task<void> {
+          while (e.now() < seconds(1)) {
+            co_await e.delay(p);
+            (void)co_await m.query(1);
+          }
+        }(eng, mon, period));
+        eng.run_until(seconds(1));
+        s.metric("target_cpu_pct", 100.0 * fab.node(1).utilization());
+      })["target_cpu_pct"];
       row.push_back(Table::fmt(pct, 2) + " % CPU");
     }
     table.add_row(row);
@@ -133,26 +131,10 @@ void print_intrusiveness() {
       "rate (kernel-assisted RDMA: zero at any rate)");
 }
 
-// Harnessed scenarios (docs/BENCHMARKS.md): Figure 8a accuracy per scheme
-// plus the telemetry dogfood — a front-end RDMA-scraping a loaded node's
-// own registry snapshot with zero target-CPU involvement.
-int run_harness(const bench::HarnessOptions& opts) {
-  bench::Harness h("monitor_accuracy", opts);
-  for (const auto scheme : kSchemes) {
-    h.run(std::string("accuracy/") + monitor::to_string(scheme),
-          [scheme](bench::Scenario& s) {
-            const auto r = measure_on(s.engine(), scheme);
-            std::size_t exact = 0;
-            for (const double d : r.deviation_series) exact += (d < 0.5);
-            s.metric("mean_abs_dev", r.mean_abs_dev);
-            s.metric("max_abs_dev", r.max_abs_dev);
-            s.metric("samples",
-                     static_cast<double>(r.deviation_series.size()));
-            s.metric("pct_exact",
-                     100.0 * static_cast<double>(exact) /
-                         static_cast<double>(r.deviation_series.size()));
-          });
-  }
+// The telemetry dogfood: a front-end RDMA-scraping a loaded node's own
+// registry snapshot with zero target-CPU involvement.
+void print_telemetry_table(bench::Harness& h) {
+  const std::size_t first = h.scenarios();
   h.run("telemetry/rdma-scrape", [](bench::Scenario& s) {
     auto& eng = s.engine();
     fabric::Fabric fab(eng, fabric::FabricParams{},
@@ -186,17 +168,20 @@ int run_harness(const bench::HarnessOptions& opts) {
     s.metric("target_cpu_ns_during_scrape",
              static_cast<double>(target_busy));
   });
-  return h.finish();
+  h.print_table(
+      "Telemetry dogfood — RDMA scrape of a loaded node's registry "
+      "(zero target CPU)",
+      first);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto harness = bench::extract_harness_flags(argc, argv);
-  if (harness.harness_mode() || !harness.postmortem_dir.empty()) {
-    return run_harness(harness);
-  }
-  print_fig8a();
-  print_intrusiveness();
-  return 0;
+  const auto opts =
+      bench::extract_harness_flags("monitor_accuracy", argc, argv);
+  bench::Harness h("monitor_accuracy", opts);
+  print_fig8a(h);
+  print_intrusiveness(h);
+  print_telemetry_table(h);
+  return h.finish();
 }

@@ -5,6 +5,7 @@
 #include "common/table.hpp"
 #include "datacenter/admission.hpp"
 #include "datacenter/qos.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -14,14 +15,9 @@ using datacenter::QosScheduler;
 
 // --- QoS: premium protection under a standard-class flood ------------------
 
-struct QosOutcome {
-  double premium_p95_us;
-  double standard_p95_us;
-  double premium_share;
-};
-
-QosOutcome run_qos(double premium_weight) {
-  sim::Engine eng;
+/// Metrics: premium_p95_us, standard_p95_us, premium_share.
+void run_qos(bench::Scenario& s, double premium_weight) {
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 1, .cores_per_node = 1});
   QosScheduler sched(fab, 0,
@@ -42,20 +38,21 @@ QosOutcome run_qos(double premium_weight) {
   auto& stan = const_cast<datacenter::QosClassStats&>(sched.stats(1));
   const double total_cpu =
       static_cast<double>(prem.cpu_consumed + stan.cpu_consumed);
-  return QosOutcome{prem.latency_us.percentile(95),
-                    stan.latency_us.percentile(95),
-                    total_cpu > 0 ? prem.cpu_consumed / total_cpu : 0};
+  s.metric("premium_p95_us", prem.latency_us.percentile(95));
+  s.metric("standard_p95_us", stan.latency_us.percentile(95));
+  s.metric("premium_share", total_cpu > 0 ? prem.cpu_consumed / total_cpu : 0);
 }
 
-void print_qos_table() {
+void print_qos_table(bench::Harness& h) {
   Table table({"premium weight", "premium p95 (us)", "standard p95 (us)",
                "premium CPU share"});
   for (const double weight : {1.0, 2.0, 4.0, 8.0}) {
-    const auto r = run_qos(weight);
-    table.add_row({"x" + Table::fmt(weight, 0),
-                   Table::fmt(r.premium_p95_us, 0),
-                   Table::fmt(r.standard_p95_us, 0),
-                   Table::fmt(100 * r.premium_share, 1) + " %"});
+    const std::string label = "x" + Table::fmt(weight, 0);
+    auto r = h.run("qos/" + label,
+                   [&](bench::Scenario& s) { run_qos(s, weight); });
+    table.add_row({label, Table::fmt(r["premium_p95_us"], 0),
+                   Table::fmt(r["standard_p95_us"], 0),
+                   Table::fmt(100 * r["premium_share"], 1) + " %"});
   }
   table.print(
       "Soft QoS ([4]) — premium latency under a standard-class flood "
@@ -64,14 +61,9 @@ void print_qos_table() {
 
 // --- admission control under rising offered load ----------------------------
 
-struct AdmOutcome {
-  double admitted_p95_us;
-  double drop_rate;
-  std::uint64_t served;
-};
-
-AdmOutcome run_admission(int sessions, bool with_admission) {
-  sim::Engine eng;
+/// Metrics: admitted_p95_us, drop_rate, served.
+void run_admission(bench::Scenario& s, int sessions, bool with_admission) {
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 4, .cores_per_node = 1});
   verbs::Network net(fab);
@@ -84,7 +76,7 @@ AdmOutcome run_admission(int sessions, bool with_admission) {
       {.max_load_per_node = with_admission ? 2.0 : 1e9,
        .retry_backoff = milliseconds(1),
        .max_retries = 2});
-  for (int s = 0; s < sessions; ++s) {
+  for (int session = 0; session < sessions; ++session) {
     eng.spawn([](sim::Engine& e, AdmissionController& a) -> sim::Task<void> {
       for (int i = 0; i < 60; ++i) {
         (void)co_await a.offer(microseconds(1200), 2048);
@@ -94,21 +86,27 @@ AdmOutcome run_admission(int sessions, bool with_admission) {
   }
   eng.run_until(seconds(3));
   auto& stats = const_cast<datacenter::AdmissionStats&>(adm.stats());
-  return AdmOutcome{stats.admitted_latency_us.percentile(95),
-                    stats.drop_rate(), stats.admitted};
+  s.metric("admitted_p95_us", stats.admitted_latency_us.percentile(95));
+  s.metric("drop_rate", stats.drop_rate());
+  s.metric("served", static_cast<double>(stats.admitted));
 }
 
-void print_admission_table() {
+void print_admission_table(bench::Harness& h) {
   Table table({"closed-loop sessions", "policy", "admitted p95 (us)",
                "drop rate", "served"});
   for (const int sessions : {4, 12, 24}) {
     for (const bool on : {false, true}) {
-      const auto r = run_admission(sessions, on);
-      table.add_row({std::to_string(sessions),
-                     on ? "admission control" : "admit everything",
-                     Table::fmt(r.admitted_p95_us, 0),
-                     Table::fmt(100 * r.drop_rate, 1) + " %",
-                     std::to_string(r.served)});
+      const char* policy = on ? "admission control" : "admit everything";
+      auto r = h.run("admission/" + std::to_string(sessions) + "/" +
+                         (on ? "admission-control" : "admit-everything"),
+                     [&](bench::Scenario& s) {
+                       run_admission(s, sessions, on);
+                     });
+      table.add_row(
+          {std::to_string(sessions), policy,
+           Table::fmt(r["admitted_p95_us"], 0),
+           Table::fmt(100 * r["drop_rate"], 1) + " %",
+           Table::fmt(r["served"], 0)});
     }
   }
   table.print(
@@ -118,8 +116,10 @@ void print_admission_table() {
 
 }  // namespace
 
-int main() {
-  print_qos_table();
-  print_admission_table();
-  return 0;
+int main(int argc, char** argv) {
+  const auto opts = bench::extract_harness_flags("qos", argc, argv);
+  bench::Harness h("qos", opts);
+  print_qos_table(h);
+  print_admission_table(h);
+  return h.finish();
 }

@@ -6,20 +6,17 @@
 // under-provisioned for the whole interval.  Paper claim: about an order
 // of magnitude benefit in adaptation time for the fine-grained module.
 #include "common/table.hpp"
+#include "harness.hpp"
 #include "reconfig/reconfig.hpp"
 
 namespace {
 
 using namespace dcs;
 
-struct AdaptResult {
-  double time_to_adapt_ms;   // spike -> first reassignment
-  double spike_latency_us;   // mean request latency during the spike window
-  std::uint64_t moves;
-};
-
-AdaptResult run(SimNanos manager_interval) {
-  sim::Engine eng;
+/// Metrics: time_to_adapt_ms (spike -> first reassignment),
+/// spike_latency_us (mean request latency during the spike window), moves.
+void run(bench::Scenario& sc, SimNanos manager_interval) {
+  auto& eng = sc.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 7, .cores_per_node = 1});
   verbs::Network net(fab);
@@ -64,17 +61,15 @@ AdaptResult run(SimNanos manager_interval) {
 
   eng.run_until(spike_end + milliseconds(10));
 
-  AdaptResult result{};
-  result.moves = svc.reconfigurations();
-  result.time_to_adapt_ms =
-      svc.events().empty()
-          ? to_millis(spike_end - spike_at)
-          : to_millis(svc.events().front().at - spike_at);
-  result.spike_latency_us = spike_latency.mean();
-  return result;
+  sc.metric("moves", static_cast<double>(svc.reconfigurations()));
+  sc.metric("time_to_adapt_ms",
+            svc.events().empty()
+                ? to_millis(spike_end - spike_at)
+                : to_millis(svc.events().front().at - spike_at));
+  sc.metric("spike_latency_us", spike_latency.mean());
 }
 
-void print_table() {
+void print_table(bench::Harness& h) {
   Table table({"manager interval", "time-to-adapt (ms)",
                "mean req latency (us)", "moves"});
   const std::vector<std::pair<const char*, SimNanos>> kIntervals = {
@@ -83,10 +78,11 @@ void print_table() {
       {"coarse 2 s", seconds(2)},
   };
   for (const auto& [label, interval] : kIntervals) {
-    const auto r = run(interval);
-    table.add_row({label, Table::fmt(r.time_to_adapt_ms, 1),
-                   Table::fmt(r.spike_latency_us, 0),
-                   std::to_string(r.moves)});
+    auto r = h.run("interval/" + Table::fmt(to_millis(interval), 0) + "ms",
+                   [&](bench::Scenario& s) { run(s, interval); });
+    table.add_row({label, Table::fmt(r["time_to_adapt_ms"], 1),
+                   Table::fmt(r["spike_latency_us"], 0),
+                   Table::fmt(r["moves"], 0)});
   }
   table.print(
       "Section 6 — fine- vs coarse-grained reconfiguration under a load "
@@ -95,7 +91,9 @@ void print_table() {
 
 }  // namespace
 
-int main() {
-  print_table();
-  return 0;
+int main(int argc, char** argv) {
+  const auto opts = bench::extract_harness_flags("reconfig", argc, argv);
+  bench::Harness h("reconfig", opts);
+  print_table(h);
+  return h.finish();
 }

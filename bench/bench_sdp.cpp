@@ -17,35 +17,55 @@ using namespace dcs;
 using sockets::SdpMode;
 using sockets::SdpStream;
 
-double throughput_mbps(SdpMode mode, std::size_t msg_bytes, int count) {
-  sim::Engine eng;
+/// One stream cell: `count` messages of `msg_bytes` from node 0 to node 1,
+/// each send wrapped in a trace::Request so credit stalls and NIC time are
+/// attributed per message.
+void stream_cell(bench::Scenario& s, SdpMode mode, std::size_t msg_bytes,
+                 int count) {
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{}, {.num_nodes = 2});
   verbs::Network net(fab);
   SdpStream stream(net, 0, 1, mode);
-  eng.spawn([](SdpStream& s, std::size_t m, int n) -> sim::Task<void> {
+  eng.spawn([](sim::Engine& e, SdpStream& st, std::size_t m, int n,
+               bench::Scenario& out) -> sim::Task<void> {
     for (int i = 0; i < n; ++i) {
-      co_await s.send(std::vector<std::byte>(m));
+      const auto t0 = e.now();
+      {
+        trace::Request req("sdp.send", 0, static_cast<std::uint64_t>(i));
+        co_await st.send(std::vector<std::byte>(m));
+      }
+      out.latency_ns(static_cast<double>(e.now() - t0));
     }
-    co_await s.flush();
-  }(stream, msg_bytes, count));
-  eng.spawn([](SdpStream& s, int n) -> sim::Task<void> {
-    for (int i = 0; i < n; ++i) (void)co_await s.recv();
+    co_await st.flush();
+  }(eng, stream, msg_bytes, count, s));
+  eng.spawn([](SdpStream& st, int n) -> sim::Task<void> {
+    for (int i = 0; i < n; ++i) (void)co_await st.recv();
   }(stream, count));
   eng.run();
-  return static_cast<double>(msg_bytes) * count / to_secs(eng.now()) / 1e6;
+  s.metric("MB_per_s", static_cast<double>(msg_bytes) * count /
+                           to_secs(eng.now()) / 1e6);
+}
+
+double throughput_mbps(bench::Harness& h, SdpMode mode, std::size_t msg_bytes,
+                       int count) {
+  const std::string name = "throughput/" + std::to_string(msg_bytes / 1024) +
+                           "K/" + to_string(mode);
+  return h.run(name, [&](bench::Scenario& s) {
+    stream_cell(s, mode, msg_bytes, count);
+  })["MB_per_s"];
 }
 
 const std::vector<std::size_t> kSizes = {1024,  4096,   16384,
                                          65536, 131072, 262144};
 
-void print_table() {
+void print_table(bench::Harness& h) {
   Table table({"msg size", "SDP (MB/s)", "ZSDP (MB/s)", "AZ-SDP (MB/s)",
                "AZ vs Z"});
   for (const std::size_t size : kSizes) {
     const int count = size >= 65536 ? 40 : 200;
-    const double sdp = throughput_mbps(SdpMode::kBufferedCopy, size, count);
-    const double zsdp = throughput_mbps(SdpMode::kZeroCopy, size, count);
-    const double az = throughput_mbps(SdpMode::kAsyncZeroCopy, size, count);
+    const double sdp = throughput_mbps(h, SdpMode::kBufferedCopy, size, count);
+    const double zsdp = throughput_mbps(h, SdpMode::kZeroCopy, size, count);
+    const double az = throughput_mbps(h, SdpMode::kAsyncZeroCopy, size, count);
     table.add_row({std::to_string(size / 1024) + "K", Table::fmt(sdp, 1),
                    Table::fmt(zsdp, 1), Table::fmt(az, 1),
                    Table::fmt(az / zsdp, 2) + "x"});
@@ -58,37 +78,40 @@ void print_table() {
 // [5] "SDP over InfiniBand in clusters: is it beneficial?" — the same
 // question at data-center level: proxies fetch documents from the backend
 // tier over host-TCP vs the SDP-style verbs transport.
-void print_datacenter_table() {
+void print_datacenter_table(bench::Harness& h) {
   Table table({"tier transport", "fetch latency (us)",
                "backend comm CPU/fetch (us)"});
   for (const auto transport : {datacenter::BackendTransport::kTcp,
                                datacenter::BackendTransport::kSdp}) {
-    sim::Engine eng;
-    fabric::Fabric fab(eng, fabric::FabricParams{},
-                       {.num_nodes = 4, .cores_per_node = 2});
-    verbs::Network net(fab);
-    sockets::TcpNetwork tcp(fab);
-    datacenter::DocumentStore store({.num_docs = 64, .doc_bytes = 16384});
-    datacenter::BackendService backend(tcp, net, store, {3},
-                                       {.transport = transport});
-    backend.start();
-    constexpr int kFetches = 40;
-    eng.spawn([](datacenter::BackendService& b) -> sim::Task<void> {
-      for (datacenter::DocId d = 0; d < kFetches; ++d) {
-        (void)co_await b.fetch(1, d);
-      }
-    }(backend));
-    eng.run();
-    // Generation work is transport-independent: subtract it to isolate the
-    // communication CPU.
-    const double gen_us = 150.0 + 16384.0 / 0.4 / 1000.0;
-    const double cpu_us =
-        to_micros(fab.node(3).busy_ns()) / kFetches - gen_us;
-    table.add_row(
-        {transport == datacenter::BackendTransport::kTcp ? "host TCP"
-                                                         : "SDP (verbs)",
-         Table::fmt(to_micros(eng.now()) / kFetches, 1),
-         Table::fmt(cpu_us, 1)});
+    const char* label = transport == datacenter::BackendTransport::kTcp
+                            ? "host TCP"
+                            : "SDP (verbs)";
+    auto r = h.run(std::string("tier/") + label, [&](bench::Scenario& s) {
+      auto& eng = s.engine();
+      fabric::Fabric fab(eng, fabric::FabricParams{},
+                         {.num_nodes = 4, .cores_per_node = 2});
+      verbs::Network net(fab);
+      sockets::TcpNetwork tcp(fab);
+      datacenter::DocumentStore store({.num_docs = 64, .doc_bytes = 16384});
+      datacenter::BackendService backend(tcp, net, store, {3},
+                                         {.transport = transport});
+      backend.start();
+      constexpr int kFetches = 40;
+      eng.spawn([](datacenter::BackendService& b) -> sim::Task<void> {
+        for (datacenter::DocId d = 0; d < kFetches; ++d) {
+          (void)co_await b.fetch(1, d);
+        }
+      }(backend));
+      eng.run();
+      // Generation work is transport-independent: subtract it to isolate
+      // the communication CPU.
+      const double gen_us = 150.0 + 16384.0 / 0.4 / 1000.0;
+      s.metric("fetch_us", to_micros(eng.now()) / kFetches);
+      s.metric("comm_cpu_us",
+               to_micros(fab.node(3).busy_ns()) / kFetches - gen_us);
+    });
+    table.add_row({label, Table::fmt(r["fetch_us"], 1),
+                   Table::fmt(r["comm_cpu_us"], 1)});
   }
   table.print(
       "[5] data-center tier transport — per-fetch latency and backend "
@@ -123,54 +146,32 @@ int run_observed(const trace::ObserveOptions& opts) {
   return 0;
 }
 
-// Harnessed scenarios (docs/BENCHMARKS.md): one fixed stream per SDP mode,
-// each message send wrapped in a trace::Request so credit stalls and NIC
-// time are attributed per message.
-int run_harness(const bench::HarnessOptions& opts) {
-  bench::Harness h("sdp", opts);
+// One fixed 32 KB stream per SDP mode, at the size the throughput table
+// skips.
+void print_stream_table(bench::Harness& h) {
+  const std::size_t first = h.scenarios();
   for (const auto mode :
        {SdpMode::kBufferedCopy, SdpMode::kZeroCopy, SdpMode::kAsyncZeroCopy}) {
     h.run(std::string("stream/") + to_string(mode),
           [mode](bench::Scenario& s) {
-            auto& eng = s.engine();
-            fabric::Fabric fab(eng, fabric::FabricParams{}, {.num_nodes = 2});
-            verbs::Network net(fab);
-            SdpStream stream(net, 0, 1, mode);
-            constexpr int kMsgs = 16;
-            constexpr std::size_t kBytes = 32768;
-            eng.spawn([](sim::Engine& e, SdpStream& st,
-                         bench::Scenario& out) -> sim::Task<void> {
-              for (int i = 0; i < kMsgs; ++i) {
-                const auto t0 = e.now();
-                {
-                  trace::Request req("sdp.send", 0,
-                                     static_cast<std::uint64_t>(i));
-                  co_await st.send(std::vector<std::byte>(kBytes));
-                }
-                out.latency_ns(static_cast<double>(e.now() - t0));
-              }
-              co_await st.flush();
-            }(eng, stream, s));
-            eng.spawn([](SdpStream& st) -> sim::Task<void> {
-              for (int i = 0; i < kMsgs; ++i) (void)co_await st.recv();
-            }(stream));
-            eng.run();
-            s.metric("msgs", kMsgs);
-            s.metric("msg_bytes", kBytes);
-            s.metric("MB_per_s", static_cast<double>(kBytes) * kMsgs /
-                                     to_secs(eng.now()) / 1e6);
+            stream_cell(s, mode, 32768, 16);
+            s.metric("msgs", 16);
+            s.metric("msg_bytes", 32768);
           });
   }
-  return h.finish();
+  h.print_table("SDP streams of 16 x 32 KB messages, one request per send",
+                first);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = bench::extract_harness_flags(argc, argv);
-  if (flags.harness_mode()) return run_harness(flags);
-  if (flags.observe_mode()) return run_observed(flags.observe("sdp"));
-  print_table();
-  print_datacenter_table();
-  return 0;
+  const auto opts =
+      bench::extract_harness_flags("sdp", argc, argv, /*observed=*/true);
+  if (opts.observe_mode()) return run_observed(opts.observe("sdp"));
+  bench::Harness h("sdp", opts);
+  print_table(h);
+  print_datacenter_table(h);
+  print_stream_table(h);
+  return h.finish();
 }

@@ -1,9 +1,14 @@
 #include "harness.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <set>
+#include <span>
 #include <sstream>
 
 #include "common/table.hpp"
@@ -48,7 +53,38 @@ std::string sanitize(std::string name) {
   return name;
 }
 
+/// Largest `--batch` depth: the batched scenarios allocate one 4 KB object
+/// per depth step on a 4 MB node, and 1024 no longer fits.
+constexpr std::uint64_t kMaxBatch = 512;
+
+/// Takes `flag <count>` from argv (0 when absent); see parse_count.
+std::size_t take_count(int& argc, char** argv, const char* flag,
+                       std::uint64_t max) {
+  const std::string text = take_flag(argc, argv, flag);
+  return text.empty() ? 0 : parse_count(flag, text, max);
+}
+
+/// Some flag asks for a per-scenario file or table.
+bool wants_output(const HarnessOptions& o) {
+  return !o.bench_json.empty() || !o.wall_json.empty() ||
+         !o.critical_path.empty() || !o.timeseries_out.empty() ||
+         !o.slo_rules.empty() || o.attribution_mode();
+}
+
 }  // namespace
+
+std::uint64_t parse_count(const char* flag, const std::string& text,
+                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end || value > max) {
+    std::fprintf(stderr, "%s wants a count up to %llu, got '%s'\n", flag,
+                 static_cast<unsigned long long>(max), text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
 
 HarnessOptions extract_harness_flags(int& argc, char** argv) {
   HarnessOptions opts;
@@ -62,11 +98,31 @@ HarnessOptions extract_harness_flags(int& argc, char** argv) {
   opts.postmortem_dir = take_flag(argc, argv, "--postmortem-dir");
   opts.exemplars_out = take_flag(argc, argv, "--exemplars-out");
   opts.hotset_out = take_flag(argc, argv, "--hotset-out");
-  const std::string batch = take_flag(argc, argv, "--batch");
-  if (!batch.empty()) opts.batch = std::stoul(batch);
-  const std::string hot_keys = take_flag(argc, argv, "--hot-keys");
-  if (!hot_keys.empty()) opts.hot_keys = std::stoul(hot_keys);
+  opts.batch = take_count(argc, argv, "--batch", kMaxBatch);
+  opts.hot_keys = take_count(argc, argv, "--hot-keys",
+                             std::numeric_limits<std::size_t>::max());
   return opts;
+}
+
+HarnessOptions extract_harness_flags(const std::string& bench, int argc,
+                                     char** argv, bool observed) {
+  const HarnessOptions opts = extract_harness_flags(argc, argv);
+  if (argc > 1) {
+    std::fprintf(stderr, "bench_%s: unexpected argument '%s'\n",
+                 bench.c_str(), argv[1]);
+  } else if (opts.observe_mode() && !observed) {
+    std::fprintf(stderr,
+                 "bench_%s: no observed run for --trace-out / --metrics-out\n",
+                 bench.c_str());
+  } else if (opts.observe_mode() && wants_output(opts)) {
+    std::fprintf(stderr,
+                 "bench_%s: --trace-out / --metrics-out cannot be combined "
+                 "with harness output flags\n",
+                 bench.c_str());
+  } else {
+    return opts;
+  }
+  std::exit(2);
 }
 
 std::vector<std::size_t> batch_sweep(std::size_t max) {
@@ -80,15 +136,16 @@ std::vector<std::size_t> batch_sweep(std::size_t max) {
 Harness::Harness(std::string bench, HarnessOptions opts)
     : bench_(std::move(bench)), opts_(std::move(opts)) {}
 
-void Harness::run(const std::string& scenario,
-                  const std::function<void(Scenario&)>& body) {
+std::map<std::string, double> Harness::run(
+    const std::string& scenario, const std::function<void(Scenario&)>& body) {
   sim::Engine eng;
   trace::Tracer tracer(eng);
   // Declared after the engine/tracer so it uninstalls first: a wedged
   // scenario's post-mortem must capture ring context before teardown.
   std::unique_ptr<trace::FlightRecorder> flight;
   trace::Registry::global().reset();
-  tracer.install();
+  const bool recording = wants_output(opts_);
+  if (recording) tracer.install();
   if (!opts_.postmortem_dir.empty()) {
     flight = std::make_unique<trace::FlightRecorder>(
         eng, trace::FlightConfig{.postmortem_dir = opts_.postmortem_dir,
@@ -126,36 +183,37 @@ void Harness::run(const std::string& scenario,
     snap.p99 = ctx.latency_.percentile(99.0);
     snap.p100 = ctx.latency_.percentile(100.0);
   }
-  {
-    std::ostringstream reg;
-    trace::Registry::global().write_json(reg);
-    snap.registry_json = reg.str();
-  }
   if (!opts_.timeseries_out.empty() || !opts_.slo_rules.empty()) {
     // Scenario ordinal as node id: each scenario is "one node" of the
     // bench's cluster dump, so per-scenario history stays disjoint.
     store_.ingest_registry(static_cast<std::uint32_t>(snapshots_.size()),
                            eng.now(), trace::Registry::global());
   }
-  const trace::CriticalPath cp(tracer);
-  if (opts_.attribution_mode()) {
-    // Every traced request becomes an exemplar candidate: the scenario
-    // ordinal stands in as the node id (as in the time-series ingest) and
-    // the request name keys the series.
-    for (const trace::Breakdown& bd : cp.requests()) {
-      exemplars_.record(static_cast<std::uint32_t>(snapshots_.size()),
-                        bd.name, bd.total, bd.request, bd.by_cost);
+  if (recording) {
+    std::ostringstream reg;
+    trace::Registry::global().write_json(reg);
+    snap.registry_json = reg.str();
+    const trace::CriticalPath cp(tracer);
+    if (opts_.attribution_mode()) {
+      // Every traced request becomes an exemplar candidate: the scenario
+      // ordinal stands in as the node id (as in the time-series ingest)
+      // and the request name keys the series.
+      for (const trace::Breakdown& bd : cp.requests()) {
+        exemplars_.record(static_cast<std::uint32_t>(snapshots_.size()),
+                          bd.name, bd.total, bd.request, bd.by_cost);
+      }
+    }
+    if (cp.aggregate().count > 0) {
+      std::ostringstream agg;
+      trace::write_breakdown_json(agg, cp.aggregate());
+      snap.critical_path_json = agg.str();
+      std::ostringstream report;
+      cp.write_report(report);
+      snap.critical_path_report = report.str();
     }
   }
-  if (cp.aggregate().count > 0) {
-    std::ostringstream agg;
-    trace::write_breakdown_json(agg, cp.aggregate());
-    snap.critical_path_json = agg.str();
-    std::ostringstream report;
-    cp.write_report(report);
-    snap.critical_path_report = report.str();
-  }
   snapshots_.push_back(std::move(snap));
+  return snapshots_.back().metrics;
 }
 
 void Harness::print_wall_table() const {
@@ -167,15 +225,48 @@ void Harness::print_wall_table() const {
   table.print(bench_ + " — host wall time per dispatched event");
 }
 
+void Harness::print_table(const std::string& title, std::size_t first) const {
+  const std::span<const Snapshot> rows(snapshots_.begin() + first,
+                                       snapshots_.end());
+  std::set<std::string> keys;
+  bool latency = false;
+  for (const Snapshot& sn : rows) {
+    for (const auto& [name, value] : sn.metrics) keys.insert(name);
+    latency = latency || sn.latency_count > 0;
+  }
+  std::vector<std::string> header = {"scenario"};
+  header.insert(header.end(), keys.begin(), keys.end());
+  if (latency) header.push_back("mean latency (us)");
+  Table table(header);
+  for (const Snapshot& sn : rows) {
+    std::vector<std::string> row = {sn.name};
+    for (const std::string& key : keys) {
+      const auto it = sn.metrics.find(key);
+      row.push_back(it == sn.metrics.end() ? "-" : Table::fmt(it->second));
+    }
+    if (latency) row.push_back(Table::fmt(sn.latency_mean / 1e3));
+    table.add_row(std::move(row));
+  }
+  table.print(title);
+}
+
+int write_file(const std::string& path, const std::string& what,
+               const std::function<void(std::ostream&)>& write) {
+  std::ofstream os(path);
+  if (!os) {
+    std::fprintf(stderr, "bench: cannot open %s\n", path.c_str());
+    return 1;
+  }
+  write(os);
+  std::fprintf(stderr, "bench: %s -> %s\n", what.c_str(), path.c_str());
+  return 0;
+}
+
 int Harness::finish() {
   int rc = 0;
   if (!opts_.bench_json.empty()) {
-    std::ofstream os(opts_.bench_json);
-    if (!os) {
-      std::fprintf(stderr, "bench: cannot open %s\n",
-                   opts_.bench_json.c_str());
-      rc = 1;
-    } else {
+    const std::string what = std::to_string(snapshots_.size()) + " scenarios";
+    rc |= write_file(opts_.bench_json, what, [&](std::ostream& os) {
       os << "{\n  \"schema\": \"dcs-bench-v1\",\n  \"bench\": "
          << quoted(bench_) << ",\n  \"scenarios\": {\n";
       for (std::size_t s = 0; s < snapshots_.size(); ++s) {
@@ -204,16 +295,10 @@ int Harness::finish() {
         os << "\n    }" << (s + 1 < snapshots_.size() ? "," : "") << "\n";
       }
       os << "  }\n}\n";
-      std::fprintf(stderr, "bench: %zu scenarios -> %s\n", snapshots_.size(),
-                   opts_.bench_json.c_str());
-    }
+    });
   }
   if (!opts_.wall_json.empty()) {
-    std::ofstream os(opts_.wall_json);
-    if (!os) {
-      std::fprintf(stderr, "bench: cannot open %s\n", opts_.wall_json.c_str());
-      rc = 1;
-    } else {
+    rc |= write_file(opts_.wall_json, "wall telemetry", [&](std::ostream& os) {
       os << "{\n  \"schema\": \"dcs-bench-wall-v1\",\n  \"bench\": "
          << quoted(bench_) << ",\n  \"scenarios\": {\n";
       for (std::size_t s = 0; s < snapshots_.size(); ++s) {
@@ -239,23 +324,17 @@ int Harness::finish() {
                      static_cast<unsigned long long>(sn.events), npe, eps);
       }
       os << "  }\n}\n";
-      std::fprintf(stderr, "bench: wall telemetry -> %s\n",
-                   opts_.wall_json.c_str());
-    }
+    });
   }
   if (!opts_.critical_path.empty()) {
-    std::ofstream os(opts_.critical_path);
-    if (!os) {
-      std::fprintf(stderr, "bench: cannot open %s\n",
-                   opts_.critical_path.c_str());
-      rc = 1;
-    } else {
+    rc |= write_file(opts_.critical_path, "critical path",
+                     [&](std::ostream& os) {
       for (const Snapshot& sn : snapshots_) {
         if (sn.critical_path_report.empty()) continue;
         os << "== scenario " << sn.name << " ==\n"
            << sn.critical_path_report;
       }
-    }
+    });
   }
   if (!opts_.timeseries_out.empty() || !opts_.slo_rules.empty()) {
     obs::SloEngine slo(store_);
@@ -279,40 +358,22 @@ int Harness::finish() {
       std::fputs(stream.str().c_str(), stderr);
     }
     if (!opts_.timeseries_out.empty()) {
-      std::ofstream os(opts_.timeseries_out);
-      if (!os) {
-        std::fprintf(stderr, "bench: cannot open %s\n",
-                     opts_.timeseries_out.c_str());
-        rc = 1;
-      } else {
-        obs::write_timeseries_json(os, store_, slo.alerts());
-        std::fprintf(stderr, "bench: %zu series -> %s\n",
-                     store_.all().size(), opts_.timeseries_out.c_str());
-      }
+      rc |= write_file(opts_.timeseries_out,
+                       std::to_string(store_.all().size()) + " series",
+                       [&](std::ostream& os) {
+                         obs::write_timeseries_json(os, store_, slo.alerts());
+                       });
     }
   }
   if (!opts_.hotset_out.empty()) {
-    std::ofstream os(opts_.hotset_out);
-    if (!os) {
-      std::fprintf(stderr, "bench: cannot open %s\n",
-                   opts_.hotset_out.c_str());
-      rc = 1;
-    } else {
+    rc |= write_file(opts_.hotset_out, "hotset", [&](std::ostream& os) {
       obs::write_hotset_json(os, hot_);
-      std::fprintf(stderr, "bench: hotset -> %s\n", opts_.hotset_out.c_str());
-    }
+    });
   }
   if (!opts_.exemplars_out.empty()) {
-    std::ofstream os(opts_.exemplars_out);
-    if (!os) {
-      std::fprintf(stderr, "bench: cannot open %s\n",
-                   opts_.exemplars_out.c_str());
-      rc = 1;
-    } else {
+    rc |= write_file(opts_.exemplars_out, "exemplars", [&](std::ostream& os) {
       trace::write_exemplar_json(os, exemplars_);
-      std::fprintf(stderr, "bench: exemplars -> %s\n",
-                   opts_.exemplars_out.c_str());
-    }
+    });
   }
   if (opts_.hot_keys > 0) {
     for (const std::string& domain : hot_.domains()) {

@@ -1,10 +1,11 @@
 // Unified benchmark telemetry harness (docs/BENCHMARKS.md).
 //
-// A harnessed bench declares named scenarios; each runs under a fresh
-// engine with the global metrics registry reset and a tracer installed, so
-// the harness can snapshot everything a perf trajectory needs — scenario
-// metrics, latency percentiles, the registry, and the critical-path
-// attribution — into one canonical `BENCH_<name>.json`.  Output is
+// A bench declares named scenarios; each runs under a fresh engine with
+// the global metrics registry reset and, when an output flag asks for it,
+// a tracer installed, so the harness can snapshot everything a perf
+// trajectory needs — scenario metrics, latency percentiles, the registry,
+// and the critical-path attribution — into one canonical
+// `BENCH_<name>.json`.  Output is
 // byte-deterministic for same-seed runs: scenarios appear in run order,
 // maps in sorted order, and every number prints with fixed precision.
 //
@@ -14,21 +15,25 @@
 // kept strictly out of the byte-stable dcs-bench-v1 files and out of the
 // CI byte-identity assertion (docs/BENCHMARKS.md).
 //
-// Usage (see bench_sdp.cpp):
+// Every figure bench runs every simulation through Harness::run: one
+// scenario per table cell, and the table prints the metrics that run
+// returns.  With no output flag the harness installs no tracer and renders
+// no registry JSON, so the plain table path costs what the simulations
+// cost.  Usage (see bench_storm.cpp):
 //
 //   int main(int argc, char** argv) {
-//     auto opts = bench::extract_harness_flags(argc, argv);
-//     if (opts.harness_mode()) {
-//       bench::Harness h("sdp", opts);
-//       h.run("buffered_copy/64K", [](bench::Scenario& s) { ... });
-//       return h.finish();
-//     }
-//     if (opts.observe_mode()) { ... trace::ObservedRun path ... }
-//     ... print the paper tables ...
+//     const auto opts = bench::extract_harness_flags("storm", argc, argv);
+//     bench::Harness h("storm", opts);
+//     print_fig3b(h);  // h.run("query/STORM-DDSS/1000", ...) per cell
+//     return h.finish();
 //   }
 #pragma once
 
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <iosfwd>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -62,9 +67,8 @@ namespace dcs::bench {
 ///   --metrics-out FILE      metrics registry dump
 ///   --postmortem-dir DIR    arm a flight recorder dumping here
 ///
-/// `--postmortem-dir` applies to both modes: in harness mode every
-/// scenario runs with an armed trace::FlightRecorder, in observed mode the
-/// whole run does.
+/// `--postmortem-dir` applies to both: every harness scenario runs with an
+/// armed trace::FlightRecorder, and so does an observed run.
 struct HarnessOptions {
   std::string bench_json;     // canonical BENCH_<name>.json
   std::string wall_json;      // wall-clock BENCH_<name>.wall.json
@@ -85,21 +89,15 @@ struct HarnessOptions {
   /// the run (0 = no table).  Independent of --hotset-out.
   std::size_t hot_keys = 0;
 
-  /// Multi-scenario telemetry requested (run the bench::Harness path).
-  bool harness_mode() const {
-    return !bench_json.empty() || !wall_json.empty() ||
-           !critical_path.empty() || !timeseries_out.empty() ||
-           attribution_mode();
-  }
   /// Hot-key / exemplar attribution requested (a HeavyHitters sink is
   /// installed around every scenario and exemplars are retained).
   bool attribution_mode() const {
     return !exemplars_out.empty() || !hotset_out.empty() || hot_keys > 0;
   }
-  /// Single-run observation requested (run the trace::ObservedRun path).
+  /// Single-run observation requested: a bench with an observed run
+  /// (trace::ObservedRun) runs it instead of its tables.
   bool observe_mode() const {
-    return !trace_out.empty() || !metrics_out.empty() ||
-           !postmortem_dir.empty();
+    return !trace_out.empty() || !metrics_out.empty();
   }
   /// The single-run observation subset, for trace::ObservedRun.  The
   /// critical-path/bench-json sinks ride along so a binary with no
@@ -116,8 +114,41 @@ struct HarnessOptions {
 
 /// Removes the flags above from argv (shifting later arguments down and
 /// decrementing argc) and returns the extracted values, so a bench's own
-/// argument parser sees only the arguments left over.
+/// argument parser sees only the arguments left over.  A `--batch` or
+/// `--hot-keys` value that is not a count (or a `--batch` above 512) exits
+/// with status 2 and a message.
 HarnessOptions extract_harness_flags(int& argc, char** argv);
+
+/// Parses all of `text`, the value of `flag`, as a decimal count up to
+/// `max`; exits with status 2 and a message on anything else (a sign,
+/// trailing characters, an empty string, overflow).
+std::uint64_t parse_count(const char* flag, const std::string& text,
+                          std::uint64_t max);
+
+/// Matches `--flag=N` and stores N in `*out` (parse_count, up to the
+/// largest `T`); false when `arg` is another flag.
+template <typename T>
+bool parse_flag(const char* arg, const char* flag, T* out) {
+  const std::size_t n = std::strlen(flag);
+  if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
+  *out = static_cast<T>(
+      parse_count(flag, arg + n + 1, std::numeric_limits<T>::max()));
+  return true;
+}
+
+/// A figure bench's command line: the flags above, after which the bench
+/// exits with status 2 and a message when argv holds anything more (a
+/// bench with flags of its own removes them first), or when `--trace-out`
+/// / `--metrics-out` is given to a bench without an observed run
+/// (`observed`) or beside a harness output flag.
+HarnessOptions extract_harness_flags(const std::string& bench, int argc,
+                                     char** argv, bool observed = false);
+
+/// Writes one output file through `write`, then reports "bench: <what> ->
+/// <path>" on stderr.  Returns 1, with a message, when `path` cannot be
+/// opened, else 0.
+int write_file(const std::string& path, const std::string& what,
+               const std::function<void(std::ostream&)>& write);
 
 /// Batch depths a bench sweeps for `--batch max` (powers of two up to and
 /// including `max`); `max == 0` yields the default sweep {1, 2, 4, 8}.
@@ -159,17 +190,28 @@ class Harness {
  public:
   Harness(std::string bench, HarnessOptions opts);
 
-  /// Runs `body` under a fresh engine, reset registry, and installed
-  /// tracer, then snapshots the results.  Scenarios run in call order.
-  /// When --timeseries-out / --slo is set, the scenario's final registry
-  /// additionally ingests into the cluster time-series store, with the
-  /// scenario ordinal standing in as the node id.
-  void run(const std::string& scenario,
-           const std::function<void(Scenario&)>& body);
+  /// Runs `body` under a fresh engine and reset registry, snapshots the
+  /// results and returns the scenario's metrics (the values its "metrics"
+  /// JSON object holds).  Scenarios run in call order.  A tracer is
+  /// installed and the registry rendered only when an output flag asks for
+  /// them.  When --timeseries-out / --slo is set, the scenario's final
+  /// registry additionally ingests into the cluster time-series store,
+  /// with the scenario ordinal standing in as the node id.
+  std::map<std::string, double> run(
+      const std::string& scenario,
+      const std::function<void(Scenario&)>& body);
 
   /// Prints one row per scenario run so far to stdout: events dispatched
   /// and host ns/event, the numbers `--bench-wall-json` records.
   void print_wall_table() const;
+
+  /// Scenarios run so far; pass it to print_table to start a table there.
+  std::size_t scenarios() const { return snapshots_.size(); }
+
+  /// Prints the scenarios run since the `first`-th to stdout, one row each:
+  /// every recorded metric, and the mean recorded latency in µs when any
+  /// scenario recorded one.  For scenarios no paper table prints.
+  void print_table(const std::string& title, std::size_t first) const;
 
   /// Writes the requested files.  Returns a process exit code (non-zero
   /// when a file could not be written).

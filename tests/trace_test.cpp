@@ -1,6 +1,9 @@
 // Observability layer: metrics registry semantics, tracer span recording,
 // CLI flag extraction, and the headline guarantee — two same-seed runs
 // produce byte-identical trace and metrics output.
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -151,7 +154,7 @@ TEST(ObserveFlagsTest, ExtractsAndRemovesBothFlags) {
   int argc = static_cast<int>(storage.size());
   const auto opts = bench::extract_harness_flags(argc, argv.data());
   EXPECT_TRUE(opts.observe_mode());
-  EXPECT_FALSE(opts.harness_mode());
+  EXPECT_TRUE(opts.bench_json.empty());
   EXPECT_EQ(opts.trace_out, "t.json");
   EXPECT_EQ(opts.metrics_out, "m.txt");
   ASSERT_EQ(argc, 4);
@@ -170,7 +173,7 @@ TEST(ObserveFlagsTest, AbsentFlagsDisableObservation) {
   int argc = 2;
   const auto opts = bench::extract_harness_flags(argc, argv.data());
   EXPECT_FALSE(opts.observe_mode());
-  EXPECT_FALSE(opts.harness_mode());
+  EXPECT_TRUE(opts.bench_json.empty());
   EXPECT_EQ(argc, 2);
 }
 
@@ -181,13 +184,125 @@ TEST(ObserveFlagsTest, PostmortemDirRoutesThroughObserveOptions) {
   argv.push_back(nullptr);
   int argc = static_cast<int>(storage.size());
   const auto opts = bench::extract_harness_flags(argc, argv.data());
-  EXPECT_TRUE(opts.observe_mode());
-  EXPECT_FALSE(opts.harness_mode());
+  // A flight recorder arms the harness scenarios or the observed run; on
+  // its own it selects neither.
+  EXPECT_FALSE(opts.observe_mode());
+  EXPECT_TRUE(opts.bench_json.empty());
   EXPECT_EQ(argc, 1);
   const auto observe = opts.observe("unit");
   EXPECT_TRUE(observe.enabled());
   EXPECT_EQ(observe.postmortem_dir, "pm");
   EXPECT_EQ(observe.bench_name, "unit");
+}
+
+/// Owns an argv built from `args` (argv[0] = "bench") for the parser.
+struct Argv {
+  explicit Argv(std::vector<std::string> args) : storage(std::move(args)) {
+    storage.insert(storage.begin(), "bench");
+    for (auto& s : storage) ptrs.push_back(s.data());
+    ptrs.push_back(nullptr);
+    argc = static_cast<int>(storage.size());
+  }
+  bench::HarnessOptions extract() {
+    return bench::extract_harness_flags(argc, ptrs.data());
+  }
+  std::vector<std::string> storage;
+  std::vector<char*> ptrs;
+  int argc = 0;
+};
+
+TEST(ObserveFlagsTest, CountFlagsRejectNonCountsWithExit2) {
+  for (const auto& args : std::vector<std::vector<std::string>>{
+           {"--batch", "abc"},
+           {"--batch", "-1"},
+           {"--batch", "1024"},
+           {"--batch", "8x"},
+           {"--hot-keys", "x"}}) {
+    Argv a(args);
+    EXPECT_EXIT(a.extract(), ::testing::ExitedWithCode(2), args[0])
+        << args[0] << " " << args[1];
+  }
+}
+
+TEST(ObserveFlagsTest, BatchAcceptsDepthsUpTo512) {
+  Argv a({"--batch", "512", "--hot-keys", "3"});
+  const auto opts = a.extract();
+  EXPECT_EQ(opts.batch, 512u);
+  EXPECT_EQ(opts.hot_keys, 3u);
+  EXPECT_EQ(a.argc, 1);
+}
+
+TEST(ObserveFlagsTest, BenchCommandLineRejectsLeftoverArguments) {
+  Argv a({"--bench-json", "b.json", "--bogus"});
+  EXPECT_EXIT(bench::extract_harness_flags("unit", a.argc, a.ptrs.data()),
+              ::testing::ExitedWithCode(2), "unexpected argument '--bogus'");
+}
+
+TEST(ObserveFlagsTest, BenchCommandLineRejectsTraceOutWithoutAnObservedRun) {
+  Argv a({"--trace-out", "t.json"});
+  EXPECT_EXIT(bench::extract_harness_flags("unit", a.argc, a.ptrs.data()),
+              ::testing::ExitedWithCode(2), "no observed run");
+}
+
+TEST(ObserveFlagsTest, BenchCommandLineRejectsObserveMixedWithHarnessOutput) {
+  Argv a({"--metrics-out", "m.txt", "--bench-json", "b.json"});
+  EXPECT_EXIT(bench::extract_harness_flags("unit", a.argc, a.ptrs.data(),
+                                           /*observed=*/true),
+              ::testing::ExitedWithCode(2), "cannot be combined");
+}
+
+TEST(ObserveFlagsTest, BenchCommandLineAcceptsObservedAndHarnessRuns) {
+  Argv observed({"--trace-out", "t.json", "--postmortem-dir", "pm"});
+  const auto observe_opts = bench::extract_harness_flags(
+      "unit", observed.argc, observed.ptrs.data(), /*observed=*/true);
+  EXPECT_TRUE(observe_opts.observe_mode());
+  EXPECT_EQ(observe_opts.postmortem_dir, "pm");
+  Argv harness({"--bench-json", "b.json", "--batch", "4"});
+  const auto harness_opts =
+      bench::extract_harness_flags("unit", harness.argc, harness.ptrs.data());
+  EXPECT_EQ(harness_opts.bench_json, "b.json");
+  EXPECT_EQ(harness_opts.batch, 4u);
+}
+
+// --- bench::Harness: tracer only when output is requested ---
+
+TEST(HarnessTest, NoOutputFlagsRunWithoutATracer) {
+  bench::Harness h("unit", {});
+  bool ran = false;
+  bool traced = true;
+  h.run("cell", [&](bench::Scenario&) {
+    traced = trace::current_tracer() != nullptr;
+    ran = true;
+  });
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(traced);
+  EXPECT_EQ(h.finish(), 0);
+}
+
+TEST(HarnessTest, BenchJsonInstallsATracerAndRecordsReturnedMetrics) {
+  bench::HarnessOptions opts;
+  opts.bench_json = ::testing::TempDir() + "harness_test_bench.json";
+  bench::Harness h("unit", opts);
+  const trace::Tracer* seen = nullptr;
+  const auto metrics = h.run("cell", [&](bench::Scenario& s) {
+    seen = trace::current_tracer();
+    s.engine().spawn([](sim::Engine& e) -> sim::Task<void> {
+      co_await e.delay(250);
+    }(s.engine()));
+    s.engine().run();
+    s.metric("answer", 42.5);
+  });
+  EXPECT_NE(seen, nullptr);
+  EXPECT_EQ(trace::current_tracer(), nullptr);
+  EXPECT_EQ(metrics, (std::map<std::string, double>{{"answer", 42.5}}));
+  ASSERT_EQ(h.finish(), 0);
+  std::ifstream in(opts.bench_json);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"virtual_ns\": 250,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"metrics\": {\"answer\": 42.500}"),
+            std::string::npos)
+      << json;
 }
 
 // --- determinism: the headline guarantee ---

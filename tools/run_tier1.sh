@@ -7,10 +7,10 @@
 # Usage: tools/run_tier1.sh [--san asan|tsan] [--bench-json DIR] [build-dir]
 #   --san asan        build + test under AddressSanitizer/UBSan (CMake preset)
 #   --san tsan        build + test under ThreadSanitizer (CMake preset)
-#   --bench-json DIR  after the tests pass, run the five harnessed benches
-#                     and write BENCH_<name>.json files into DIR (the same
-#                     telemetry CI's bench-smoke job archives; see
-#                     docs/BENCHMARKS.md)
+#   --bench-json DIR  after the tests pass, run the 16 figure benches and
+#                     bench_engine and write BENCH_<name>.json files into
+#                     DIR (the same telemetry CI's bench-smoke job
+#                     archives; see docs/BENCHMARKS.md)
 # With no flags, the plain RelWithDebInfo build dir (default: build) is
 # used exactly as before.
 set -eu
@@ -41,8 +41,11 @@ done
 run_benches() {
   # $1 = directory holding the bench binaries
   mkdir -p "$BENCH_JSON_DIR"
-  for b in sdp ddss_latency dlm_cascade monitor_accuracy integrated engine; do
-    "$1/bench_$b" --bench-json "$BENCH_JSON_DIR/BENCH_$b.json"
+  for bin in "$1"/bench_*; do
+    b="$(basename "$bin")"
+    b="${b#bench_}"
+    [ "$b" = datacenter_scale ] && continue
+    "$bin" --bench-json "$BENCH_JSON_DIR/BENCH_$b.json"
   done
   echo "bench telemetry written to $BENCH_JSON_DIR"
 }
