@@ -66,6 +66,8 @@ constexpr std::size_t kAllocs = 8;       // DDSS allocations per partition
 constexpr std::size_t kValueBytes = 64;  // payload size of every put/get
 
 constexpr std::uint32_t kNoHotShard = ~0u;
+/// Upper bound of --shards: worker threads of one run.
+constexpr std::uint32_t kMaxShards = 64;
 /// A served request slower than this counts against the slow-serve budget.
 constexpr SimNanos kSlowServeNs = 20000;
 
@@ -589,6 +591,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "datacenter_scale: --nodes must be a positive multiple of "
                  "--partitions\n");
+    return 2;
+  }
+  // Each worker is an OS thread that spins at the window barrier, so a
+  // count beyond the partitions (idle spinners) or beyond any real core
+  // count is refused before a thread starts.
+  if (cfg.shards == 0 || cfg.shards > cfg.partitions ||
+      cfg.shards > dcs::kMaxShards) {
+    std::fprintf(stderr,
+                 "datacenter_scale: --shards must be in 1..min(--partitions, "
+                 "%u)\n",
+                 dcs::kMaxShards);
     return 2;
   }
   if (cfg.scrape_us == 0) {

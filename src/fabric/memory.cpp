@@ -3,8 +3,11 @@
 namespace dcs::fabric {
 
 NodeMemory::NodeMemory(std::size_t capacity_bytes)
-    : arena_(capacity_bytes + kReservedPrefix) {
+    : size_(capacity_bytes + kReservedPrefix) {
   DCS_CHECK(capacity_bytes > 0);
+  DCS_CHECK_MSG(size_ > capacity_bytes, "node memory capacity overflows");
+  arena_.reset(static_cast<std::byte*>(std::calloc(size_, 1)));
+  DCS_CHECK_MSG(arena_ != nullptr, "cannot allocate node memory arena");
   free_list_.emplace(kReservedPrefix, capacity_bytes);
 }
 
@@ -53,17 +56,17 @@ void NodeMemory::coalesce(std::map<MemAddr, std::size_t>::iterator it) {
 
 std::span<std::byte> NodeMemory::bytes(MemAddr addr, std::size_t len) {
   DCS_CHECK_MSG(in_range(addr, len), "out-of-range memory access");
-  return {arena_.data() + addr, len};
+  return {arena_.get() + addr, len};
 }
 
 std::span<const std::byte> NodeMemory::bytes(MemAddr addr,
                                              std::size_t len) const {
   DCS_CHECK_MSG(in_range(addr, len), "out-of-range memory access");
-  return {arena_.data() + addr, len};
+  return {arena_.get() + addr, len};
 }
 
 bool NodeMemory::in_range(MemAddr addr, std::size_t len) const {
-  return addr >= kReservedPrefix && addr + len <= arena_.size() &&
+  return addr >= kReservedPrefix && addr + len <= size_ &&
          addr + len >= addr;
 }
 

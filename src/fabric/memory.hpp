@@ -4,13 +4,18 @@
 // buffers and RDMA-registered regions are carved.  A first-fit free-list
 // allocator keeps semantics realistic (fragmentation, exhaustion) and
 // testable.  Address 0 is reserved as the null address.
+//
+// The arena comes from calloc, so it reads as zero without being written.
+// A large arena is fresh zero pages that become resident only when first
+// touched: a 64 MB node whose workload touches a few KB costs a few KB.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "common/check.hpp"
 
@@ -28,7 +33,7 @@ class NodeMemory {
   /// Frees a previous allocation (exact address required).
   void free(MemAddr addr);
 
-  std::size_t capacity() const { return arena_.size() - kReservedPrefix; }
+  std::size_t capacity() const { return size_ - kReservedPrefix; }
   std::size_t used() const { return used_; }
   std::size_t allocation_count() const { return allocated_.size(); }
 
@@ -42,7 +47,12 @@ class NodeMemory {
  private:
   static constexpr std::size_t kReservedPrefix = 64;  // keeps addr 0 invalid
 
-  std::vector<std::byte> arena_;
+  struct FreeDeleter {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+
+  std::size_t size_;  // arena bytes, reserved prefix included
+  std::unique_ptr<std::byte[], FreeDeleter> arena_;
   std::map<MemAddr, std::size_t> free_list_;   // addr -> hole length
   std::map<MemAddr, std::size_t> allocated_;   // addr -> allocation length
   std::size_t used_ = 0;

@@ -15,27 +15,30 @@
 //                (`--shards=N` in the benches) is pure execution policy:
 //                any value produces the same merged fingerprint, so a
 //                1-worker run is the oracle for an N-worker run.
-//   window       one conservative-PDES round.  With lookahead L (the
-//                minimum cross-partition message latency, i.e. the fabric
-//                wire latency), the coordinator computes
+//   window       one conservative-PDES round, run by the workers in
+//                lockstep (the caller of run_until only waits).  With
+//                lookahead L (the minimum cross-partition message latency,
+//                i.e. the fabric wire latency), each worker publishes a
+//                lower bound over its own partitions, one barrier later
+//                every worker reduces them to the same
 //                    M = min over partitions of next_event_time()
 //                        and over undelivered cross messages of their t
 //                    H = M + L - 1          (the safe horizon)
 //                No event in [M, H] can generate a cross message delivered
 //                at or before H (its delivery is stamped >= M + L > H), so
 //                every partition may run run_until(H) in parallel with no
-//                further synchronization.  Barrier; collect outboxes;
-//                repeat.
+//                further synchronization.  One barrier per window.
 //
-// Cross-partition messages travel through per-partition mailboxes.  A
+// Cross-partition messages travel through per-partition outboxes.  A
 // message sent at time tau is stamped t = tau + L (+ any extra delay) and
-// carries (src, per-src seq).  Before a window, every message with t <= H
-// is moved to its destination's due list, sorted by (t, src, seq) — a total
-// order independent of worker count and of the real-time interleaving of
-// the previous window.  A long-lived pump strand per partition delivers the
-// due list inside virtual time: it delays to each message's t and invokes
-// the partition's handler synchronously, folding (t, src, dst, seq, tag)
-// into the partition's cross-delivery fingerprint.
+// carries (src, per-src seq).  Before a window, the worker owning each
+// destination moves every message with t <= H to the destination's due
+// list, sorted by (t, src, seq) — a total order independent of worker
+// count and of the real-time interleaving of the previous window.  A
+// long-lived pump strand per partition delivers the due list inside
+// virtual time: it delays to each message's t and invokes the partition's
+// handler synchronously, folding (t, src, dst, seq, tag) into the
+// partition's cross-delivery fingerprint.
 //
 // Determinism contract (docs/SCALING.md):
 //   - same seed + same partition count => byte-identical merged fingerprint
@@ -120,8 +123,9 @@ class Shard {
   std::uint32_t index_;
 };
 
-/// Coordinator for a sharded run.  Construct, setup(), run() (or repeated
-/// run_until() for chopped runs), read the merged fingerprint, destroy.
+/// Owner of a sharded run and its worker pool.  Construct, setup(), run()
+/// (or repeated run_until() for chopped runs), read the merged fingerprint,
+/// destroy.
 class ShardedEngine {
  public:
   struct Spec {

@@ -50,7 +50,14 @@ class ScaleGridTest(unittest.TestCase):
                          ["--nodes=abc"],
                          ["--partitions=4294967296"],
                          ["--scrape-us=0", "--timeseries-out", ts],
-                         ["--batch", "abc"]):
+                         ["--batch", "abc"],
+                         # Each shard is a spinning OS thread: these are
+                         # refused at parse time, before any thread starts.
+                         ["--shards=0"],
+                         ["--partitions=4", "--shards=8"],
+                         ["--nodes=128", "--partitions=128", "--clients=0",
+                          "--ops=0", "--shards=65"],
+                         ["--shards=4294967295"]):
                 with self.subTest(args=" ".join(args)):
                     proc = run(*args)
                     self.assertEqual(proc.returncode, 2, proc.stderr)

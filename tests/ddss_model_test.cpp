@@ -3,8 +3,10 @@
 // must match the model within each coherence contract.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <map>
+#include <type_traits>
 
 #include "common/rng.hpp"
 #include "ddss/ddss.hpp"
@@ -39,8 +41,13 @@ std::vector<std::byte> value_of(std::uint64_t tag, std::size_t n) {
 
 struct SeqCase {
   Coherence model;
+  // Explicit zeroed filler instead of implicit padding: gtest prints a
+  // param's raw bytes into the test name, and padding would leak whatever
+  // the stack held into it.
+  std::array<std::uint8_t, 7> pad{};
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<SeqCase>);
 
 class DdssSequentialModel : public ::testing::TestWithParam<SeqCase> {};
 
@@ -91,15 +98,15 @@ TEST_P(DdssSequentialModel, RandomOpsMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DdssSequentialModel,
-    ::testing::Values(SeqCase{Coherence::kNull, 1},
-                      SeqCase{Coherence::kRead, 1},
-                      SeqCase{Coherence::kWrite, 1},
-                      SeqCase{Coherence::kStrict, 1},
-                      SeqCase{Coherence::kVersion, 1},
-                      SeqCase{Coherence::kTemporal, 1},
-                      SeqCase{Coherence::kStrict, 2},
-                      SeqCase{Coherence::kVersion, 2},
-                      SeqCase{Coherence::kNull, 3}),
+    ::testing::Values(SeqCase{.model = Coherence::kNull, .seed = 1},
+                      SeqCase{.model = Coherence::kRead, .seed = 1},
+                      SeqCase{.model = Coherence::kWrite, .seed = 1},
+                      SeqCase{.model = Coherence::kStrict, .seed = 1},
+                      SeqCase{.model = Coherence::kVersion, .seed = 1},
+                      SeqCase{.model = Coherence::kTemporal, .seed = 1},
+                      SeqCase{.model = Coherence::kStrict, .seed = 2},
+                      SeqCase{.model = Coherence::kVersion, .seed = 2},
+                      SeqCase{.model = Coherence::kNull, .seed = 3}),
     [](const auto& param_info) {
       return std::string(to_string(param_info.param.model)) + "_seed" +
              std::to_string(param_info.param.seed);

@@ -1,6 +1,11 @@
 // Unit tests for the fabric layer: memory allocator, CPU scheduling model,
 // kernel page mirroring, and the wire cost model.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "fabric/fabric.hpp"
 
@@ -79,6 +84,60 @@ TEST(NodeMemoryTest, AddressZeroNeverValid) {
   NodeMemory mem(1024);
   EXPECT_FALSE(mem.in_range(0, 1));
 }
+
+TEST(NodeMemoryTest, FreshAllocationsReadZeroAndBytesSurviveReuse) {
+  NodeMemory mem(64u << 20);
+  const MemAddr a = mem.allocate(4096);
+  const MemAddr far = mem.allocate(32u << 20);
+  ASSERT_NE(a, kNullAddr);
+  ASSERT_NE(far, kNullAddr);
+  for (const std::byte b : mem.bytes(a, 4096)) ASSERT_EQ(b, std::byte{0});
+  for (const std::byte b : mem.bytes(far + (16u << 20), 4096)) {
+    ASSERT_EQ(b, std::byte{0});
+  }
+  mem.bytes(a, 4096)[100] = std::byte{0x5A};
+  // The allocator hands back the same first-fit hole without clearing it,
+  // exactly like simulated host memory.
+  mem.free(a);
+  EXPECT_EQ(mem.allocate(4096), a);
+  EXPECT_EQ(mem.bytes(a, 4096)[100], std::byte{0x5A});
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DCS_SANITIZED_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DCS_SANITIZED_BUILD 1
+#endif
+#endif
+
+#ifndef DCS_SANITIZED_BUILD
+/// Resident bytes of this process, from /proc/self/statm; -1 if unreadable.
+long resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return -1;
+  long size = 0;
+  long resident = -1;
+  if (std::fscanf(f, "%ld %ld", &size, &resident) != 2) resident = -1;
+  std::fclose(f);
+  return resident < 0 ? -1 : resident * sysconf(_SC_PAGESIZE);
+}
+
+TEST(NodeMemoryTest, UntouchedArenasCostNoResidentMemory) {
+  // Sixteen default-size nodes (1 GB of arena) that nobody writes must not
+  // become resident: the arena is lazily zeroed, not zero-filled.
+  const long before = resident_bytes();
+  if (before < 0) GTEST_SKIP() << "/proc/self/statm unavailable";
+  std::vector<std::unique_ptr<NodeMemory>> nodes;
+  for (int i = 0; i < 16; ++i) {
+    nodes.push_back(std::make_unique<NodeMemory>(64u << 20));
+    ASSERT_NE(nodes.back()->allocate(4096), kNullAddr);
+  }
+  const long grown_kb = (resident_bytes() - before) / 1024;
+  EXPECT_LT(grown_kb, 32 * 1024) << "16 x 64 MB arenas grew RSS by "
+                                 << grown_kb << " KB";
+}
+#endif
 
 TEST(NodeMemoryDeathTest, FreeOfUnknownAddressAborts) {
   NodeMemory mem(1024);

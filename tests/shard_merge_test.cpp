@@ -62,8 +62,8 @@ sim::Task<void> one_ping(Shard& shard) {
   co_return;
 }
 
-sim::Task<void> boom_after_delay(Shard& shard) {
-  co_await shard.engine().delay(10);
+sim::Task<void> boom_after_delay(Shard& shard, sim::Time delay) {
+  co_await shard.engine().delay(delay);
   throw std::runtime_error("shard boom");
 }
 
@@ -351,13 +351,54 @@ TEST(ShardMergeTest, LayerMetricsLandInTheOwningWorkersRegistry) {
 }
 
 TEST(ShardMergeTest, WorkerExceptionsPropagate) {
-  ShardedEngine sharded(spec_for(2, 2));
-  sharded.setup([](Shard& shard) {
-    if (shard.index() == 1) {
-      shard.engine().spawn(boom_after_delay(shard));
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (std::uint32_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ShardedEngine sharded(spec_for(8, workers));
+    sharded.setup([](Shard& shard) {
+      // Every partition keeps the grid busy for many windows; partition 7
+      // (owned by the last worker) throws part-way through, so its peers
+      // are mid-window or waiting at the barrier when it fails.
+      install_forwarding(shard, /*seed=*/9);
+      if (shard.index() == 7) {
+        shard.engine().spawn(boom_after_delay(shard, 20 * kLookahead));
+      }
+    });
+    EXPECT_THROW(sharded.run(), std::runtime_error);
+    EXPECT_GT(sharded.windows(), 1u);
+    EXPECT_DEATH(sharded.run(), "a worker already failed");
+    // Leaving scope tears every partition down and joins the pool.
+  }
+}
+
+TEST(ShardMergeTest, UnevenChoppedRunsMatchOneRunAtEveryWorkerCount) {
+  // Cuts inside one window, on a lookahead boundary, repeated, spanning
+  // many windows, and past the end of the workload.
+  const std::vector<sim::Time> cuts = {1,     kLookahead - 1, kLookahead,
+                                       4000,  4000,           4001,
+                                       25003, 60000,          500000};
+  auto run = [&cuts](std::uint32_t workers, bool chopped) {
+    ShardedEngine sharded(spec_for(8, workers));
+    sharded.setup([](Shard& shard) { install_forwarding(shard, 5); });
+    if (chopped) {
+      for (const sim::Time t : cuts) sharded.run_until(t);
     }
-  });
-  EXPECT_THROW(sharded.run(), std::runtime_error);
+    sharded.run();
+    return std::tuple{sharded.merged_fingerprint(), sharded.events_dispatched(),
+                      sharded.cross_messages(), sharded.windows()};
+  };
+  const auto whole = run(1, false);
+  const auto chopped = run(1, true);
+  EXPECT_GT(std::get<2>(whole), 0u);
+  // Cutting adds windows but never shifts a dispatch.
+  EXPECT_EQ(std::get<0>(chopped), std::get<0>(whole));
+  EXPECT_EQ(std::get<1>(chopped), std::get<1>(whole));
+  EXPECT_EQ(std::get<2>(chopped), std::get<2>(whole));
+  EXPECT_GT(std::get<3>(chopped), std::get<3>(whole));
+  for (std::uint32_t workers = 2; workers <= 4; ++workers) {
+    EXPECT_EQ(run(workers, false), whole) << "workers=" << workers;
+    EXPECT_EQ(run(workers, true), chopped) << "workers=" << workers;
+  }
 }
 
 TEST(ShardMergeTest, TelemetryCoversEveryPartitionAndWorker) {
