@@ -562,6 +562,10 @@ int run(const ScaleConfig& cfg, const bench::HarnessOptions& opts) {
 
 int main(int argc, char** argv) {
   auto opts = dcs::bench::extract_harness_flags(argc, argv);
+  dcs::bench::honour_only(
+      "datacenter_scale", opts,
+      {"--bench-wall-json", "--timeseries-out", "--slo", "--postmortem-dir",
+       "--hotset-out", "--exemplars-out", "--hot-keys"});
   dcs::ScaleConfig cfg;
   for (int i = 1; i < argc; ++i) {
     using dcs::bench::parse_flag;

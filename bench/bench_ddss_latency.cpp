@@ -7,7 +7,6 @@
 #include "common/table.hpp"
 #include "ddss/ddss.hpp"
 #include "harness.hpp"
-#include "trace/observe.hpp"
 
 namespace {
 
@@ -125,43 +124,10 @@ void print_batch_table(bench::Harness& h, std::size_t max_batch) {
                 first);
 }
 
-// Observed mode (`--trace-out` / `--metrics-out`): one deterministic
-// engine running allocate / put / get / release under every coherence
-// model, so the trace shows how each model decomposes into verbs ops.
-// Two invocations produce byte-identical files.
-int run_observed(const trace::ObserveOptions& opts) {
-  sim::Engine eng;
-  trace::ObservedRun observed(eng, opts);
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = 2, .mem_per_node = 4u << 20});
-  verbs::Network net(fab);
-  ddss::Ddss substrate(net);
-  substrate.start();
-  eng.spawn([](ddss::Ddss& d) -> sim::Task<void> {
-    auto client = d.client(0);
-    constexpr std::size_t kBytes = 4096;
-    std::vector<std::byte> value(kBytes, std::byte{0x5A});
-    std::vector<std::byte> buf(kBytes);
-    for (const auto model : kModels) {
-      auto alloc = co_await client.allocate(kBytes, model,
-                                            ddss::Placement::kRemote);
-      for (int i = 0; i < 4; ++i) {
-        co_await client.put(alloc, value);
-        co_await client.get(alloc, buf);
-      }
-      co_await client.release(alloc);
-    }
-  }(substrate));
-  eng.run();
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("ddss_latency", argc, argv,
-                                                 /*observed=*/true);
-  if (opts.observe_mode()) return run_observed(opts.observe("ddss_latency"));
+  const auto opts = bench::extract_harness_flags("ddss_latency", argc, argv);
   bench::Harness h("ddss_latency", opts);
   print_fig3a(h);
   print_batch_table(h, opts.batch);

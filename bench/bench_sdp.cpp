@@ -9,7 +9,6 @@
 #include "datacenter/backend.hpp"
 #include "harness.hpp"
 #include "sockets/sdp.hpp"
-#include "trace/observe.hpp"
 
 namespace {
 
@@ -118,34 +117,6 @@ void print_datacenter_table(bench::Harness& h) {
       "communication CPU (16 KB documents)");
 }
 
-// Observed mode (`--trace-out` / `--metrics-out`): one deterministic
-// engine streaming a fixed workload through all three SDP modes, so the
-// emitted trace shows sends, receives and stall spans side by side.  Two
-// invocations produce byte-identical files (see docs/OBSERVABILITY.md).
-int run_observed(const trace::ObserveOptions& opts) {
-  sim::Engine eng;
-  trace::ObservedRun observed(eng, opts);
-  fabric::Fabric fab(eng, fabric::FabricParams{}, {.num_nodes = 2});
-  verbs::Network net(fab);
-  for (const auto mode :
-       {SdpMode::kBufferedCopy, SdpMode::kZeroCopy, SdpMode::kAsyncZeroCopy}) {
-    SdpStream stream(net, 0, 1, mode);
-    constexpr int kMsgs = 8;
-    constexpr std::size_t kBytes = 32768;
-    eng.spawn([](SdpStream& s) -> sim::Task<void> {
-      for (int i = 0; i < kMsgs; ++i) {
-        co_await s.send(std::vector<std::byte>(kBytes));
-      }
-      co_await s.flush();
-    }(stream));
-    eng.spawn([](SdpStream& s) -> sim::Task<void> {
-      for (int i = 0; i < kMsgs; ++i) (void)co_await s.recv();
-    }(stream));
-    eng.run();
-  }
-  return 0;
-}
-
 // One fixed 32 KB stream per SDP mode, at the size the throughput table
 // skips.
 void print_stream_table(bench::Harness& h) {
@@ -166,9 +137,7 @@ void print_stream_table(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts =
-      bench::extract_harness_flags("sdp", argc, argv, /*observed=*/true);
-  if (opts.observe_mode()) return run_observed(opts.observe("sdp"));
+  const auto opts = bench::extract_harness_flags("sdp", argc, argv);
   bench::Harness h("sdp", opts);
   print_table(h);
   print_datacenter_table(h);

@@ -1,12 +1,15 @@
 #include "harness.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <set>
 #include <span>
 #include <sstream>
@@ -57,6 +60,34 @@ std::string sanitize(std::string name) {
 /// per depth step on a 4 MB node, and 1024 no longer fits.
 constexpr std::uint64_t kMaxBatch = 512;
 
+/// The flags extract_harness_flags takes, in the order it takes them.
+struct FileFlag {
+  const char* name;
+  std::string HarnessOptions::*field;
+};
+constexpr FileFlag kFileFlags[] = {
+    {"--bench-json", &HarnessOptions::bench_json},
+    {"--bench-wall-json", &HarnessOptions::wall_json},
+    {"--critical-path", &HarnessOptions::critical_path},
+    {"--timeseries-out", &HarnessOptions::timeseries_out},
+    {"--slo", &HarnessOptions::slo_rules},
+    {"--trace-out", &HarnessOptions::trace_out},
+    {"--metrics-out", &HarnessOptions::metrics_out},
+    {"--postmortem-dir", &HarnessOptions::postmortem_dir},
+    {"--exemplars-out", &HarnessOptions::exemplars_out},
+    {"--hotset-out", &HarnessOptions::hotset_out},
+};
+struct CountFlag {
+  const char* name;
+  std::size_t HarnessOptions::*field;
+  std::uint64_t max;
+};
+constexpr CountFlag kCountFlags[] = {
+    {"--batch", &HarnessOptions::batch, kMaxBatch},
+    {"--hot-keys", &HarnessOptions::hot_keys,
+     std::numeric_limits<std::size_t>::max()},
+};
+
 /// Takes `flag <count>` from argv (0 when absent); see parse_count.
 std::size_t take_count(int& argc, char** argv, const char* flag,
                        std::uint64_t max) {
@@ -68,7 +99,8 @@ std::size_t take_count(int& argc, char** argv, const char* flag,
 bool wants_output(const HarnessOptions& o) {
   return !o.bench_json.empty() || !o.wall_json.empty() ||
          !o.critical_path.empty() || !o.timeseries_out.empty() ||
-         !o.slo_rules.empty() || o.attribution_mode();
+         !o.slo_rules.empty() || !o.trace_out.empty() ||
+         !o.metrics_out.empty() || o.attribution_mode();
 }
 
 }  // namespace
@@ -86,43 +118,55 @@ std::uint64_t parse_count(const char* flag, const std::string& text,
   return value;
 }
 
+double parse_real(const char* flag, const std::string& text, double min,
+                  double max) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end ||
+      !std::isfinite(value) || value < min || value > max) {
+    std::fprintf(stderr, "%s wants a number in [%g, %g], got '%s'\n", flag,
+                 min, max, text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 HarnessOptions extract_harness_flags(int& argc, char** argv) {
   HarnessOptions opts;
-  opts.bench_json = take_flag(argc, argv, "--bench-json");
-  opts.wall_json = take_flag(argc, argv, "--bench-wall-json");
-  opts.critical_path = take_flag(argc, argv, "--critical-path");
-  opts.timeseries_out = take_flag(argc, argv, "--timeseries-out");
-  opts.slo_rules = take_flag(argc, argv, "--slo");
-  opts.trace_out = take_flag(argc, argv, "--trace-out");
-  opts.metrics_out = take_flag(argc, argv, "--metrics-out");
-  opts.postmortem_dir = take_flag(argc, argv, "--postmortem-dir");
-  opts.exemplars_out = take_flag(argc, argv, "--exemplars-out");
-  opts.hotset_out = take_flag(argc, argv, "--hotset-out");
-  opts.batch = take_count(argc, argv, "--batch", kMaxBatch);
-  opts.hot_keys = take_count(argc, argv, "--hot-keys",
-                             std::numeric_limits<std::size_t>::max());
+  for (const FileFlag& f : kFileFlags) {
+    opts.*f.field = take_flag(argc, argv, f.name);
+  }
+  for (const CountFlag& f : kCountFlags) {
+    opts.*f.field = take_count(argc, argv, f.name, f.max);
+  }
   return opts;
 }
 
 HarnessOptions extract_harness_flags(const std::string& bench, int argc,
-                                     char** argv, bool observed) {
+                                     char** argv) {
   const HarnessOptions opts = extract_harness_flags(argc, argv);
   if (argc > 1) {
     std::fprintf(stderr, "bench_%s: unexpected argument '%s'\n",
                  bench.c_str(), argv[1]);
-  } else if (opts.observe_mode() && !observed) {
-    std::fprintf(stderr,
-                 "bench_%s: no observed run for --trace-out / --metrics-out\n",
-                 bench.c_str());
-  } else if (opts.observe_mode() && wants_output(opts)) {
-    std::fprintf(stderr,
-                 "bench_%s: --trace-out / --metrics-out cannot be combined "
-                 "with harness output flags\n",
-                 bench.c_str());
-  } else {
-    return opts;
+    std::exit(2);
   }
-  std::exit(2);
+  return opts;
+}
+
+void honour_only(const std::string& binary, const HarnessOptions& opts,
+                 std::initializer_list<std::string_view> honoured) {
+  const auto check = [&](const char* flag, bool given) {
+    if (!given || std::find(honoured.begin(), honoured.end(), flag) !=
+                      honoured.end()) {
+      return;
+    }
+    std::fprintf(stderr, "%s: %s is not supported here\n", binary.c_str(),
+                 flag);
+    std::exit(2);
+  };
+  for (const FileFlag& f : kFileFlags) check(f.name, !(opts.*f.field).empty());
+  for (const CountFlag& f : kCountFlags) check(f.name, opts.*f.field > 0);
 }
 
 std::vector<std::size_t> batch_sweep(std::size_t max) {
@@ -202,6 +246,26 @@ std::map<std::string, double> Harness::run(
         exemplars_.record(static_cast<std::uint32_t>(snapshots_.size()),
                           bd.name, bd.total, bd.request, bd.by_cost);
       }
+    }
+    if (!opts_.metrics_out.empty()) {
+      std::ostringstream text;
+      trace::Registry::global().write(text);
+      snap.registry_text = text.str();
+    }
+    if (!opts_.trace_out.empty()) {
+      const std::uint64_t requests = trace_requests_;
+      const std::uint64_t spans = trace_spans_;
+      for (trace::TraceEvent ev : tracer.events()) {
+        ev.start += trace_ns_;
+        ev.end += trace_ns_;
+        if (ev.request != 0) ev.request += requests;
+        if (ev.span != 0) ev.span += spans;
+        if (ev.parent != 0) ev.parent += spans;
+        trace_requests_ = std::max(trace_requests_, ev.request);
+        trace_spans_ = std::max(trace_spans_, ev.span);
+        trace_.push_back(ev);
+      }
+      trace_ns_ += eng.now();
     }
     if (cp.aggregate().count > 0) {
       std::ostringstream agg;
@@ -333,6 +397,20 @@ int Harness::finish() {
         if (sn.critical_path_report.empty()) continue;
         os << "== scenario " << sn.name << " ==\n"
            << sn.critical_path_report;
+      }
+    });
+  }
+  if (!opts_.trace_out.empty()) {
+    rc |= write_file(opts_.trace_out,
+                     std::to_string(trace_.size()) + " trace events",
+                     [&](std::ostream& os) {
+                       trace::write_chrome_json(os, trace_);
+                     });
+  }
+  if (!opts_.metrics_out.empty()) {
+    rc |= write_file(opts_.metrics_out, "metrics", [&](std::ostream& os) {
+      for (const Snapshot& sn : snapshots_) {
+        os << "== scenario " << sn.name << " ==\n" << sn.registry_text;
       }
     });
   }

@@ -15,11 +15,12 @@
 // kept strictly out of the byte-stable dcs-bench-v1 files and out of the
 // CI byte-identity assertion (docs/BENCHMARKS.md).
 //
-// Every figure bench runs every simulation through Harness::run: one
-// scenario per table cell, and the table prints the metrics that run
+// Every figure bench and every `dcs` run command runs every simulation
+// through Harness::run: one scenario per table cell (one scenario named
+// "run" for a `dcs` command), and the table prints the metrics that run
 // returns.  With no output flag the harness installs no tracer and renders
-// no registry JSON, so the plain table path costs what the simulations
-// cost.  Usage (see bench_storm.cpp):
+// no registry, so the plain table path costs what the simulations cost.
+// Usage (see bench_storm.cpp):
 //
 //   int main(int argc, char** argv) {
 //     const auto opts = bench::extract_harness_flags("storm", argc, argv);
@@ -32,10 +33,12 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <iosfwd>
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -45,15 +48,13 @@
 #include "sim/engine.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/exemplar.hpp"
-#include "trace/observe.hpp"
 #include "trace/trace.hpp"
 
 namespace dcs::bench {
 
 /// Every observability/telemetry flag the repo's binaries accept, parsed
-/// in exactly one place.  Empty string = not requested.
-///
-/// Harness flags (multi-scenario dcs-bench-v1 telemetry):
+/// in exactly one place.  Empty string = not requested.  Each file holds
+/// every scenario the binary ran, in run order:
 ///   --bench-json FILE       canonical BENCH_<name>.json
 ///   --bench-wall-json FILE  wall-clock BENCH_<name>.wall.json
 ///   --critical-path FILE    plain-text attribution report
@@ -62,13 +63,11 @@ namespace dcs::bench {
 ///   --exemplars-out FILE    dcs-exemplar-v1 tail-exemplar dump
 ///   --hotset-out FILE       dcs-hotset-v1 hot-key sketch dump
 ///   --hot-keys N            print the top-N hot-key table per domain
-/// Single-run observation flags (trace::ObservedRun):
-///   --trace-out FILE        Chrome trace_event JSON
-///   --metrics-out FILE      metrics registry dump
+///   --trace-out FILE        one Chrome trace_event JSON, scenarios laid
+///                           end to end in virtual time
+///   --metrics-out FILE      metrics registry dump, one section per scenario
 ///   --postmortem-dir DIR    arm a flight recorder dumping here
-///
-/// `--postmortem-dir` applies to both: every harness scenario runs with an
-/// armed trace::FlightRecorder, and so does an observed run.
+///   --batch N               deepest verbs batch a batched sweep runs
 struct HarnessOptions {
   std::string bench_json;     // canonical BENCH_<name>.json
   std::string wall_json;      // wall-clock BENCH_<name>.wall.json
@@ -93,22 +92,6 @@ struct HarnessOptions {
   /// installed around every scenario and exemplars are retained).
   bool attribution_mode() const {
     return !exemplars_out.empty() || !hotset_out.empty() || hot_keys > 0;
-  }
-  /// Single-run observation requested: a bench with an observed run
-  /// (trace::ObservedRun) runs it instead of its tables.
-  bool observe_mode() const {
-    return !trace_out.empty() || !metrics_out.empty();
-  }
-  /// The single-run observation subset, for trace::ObservedRun.  The
-  /// critical-path/bench-json sinks ride along so a binary with no
-  /// harness path (the `dcs` CLI) still honors them.
-  trace::ObserveOptions observe(const std::string& bench_name) const {
-    return {.trace_out = trace_out,
-            .metrics_out = metrics_out,
-            .critical_path_out = critical_path,
-            .bench_json = bench_json,
-            .postmortem_dir = postmortem_dir,
-            .bench_name = bench_name};
   }
 };
 
@@ -136,13 +119,22 @@ bool parse_flag(const char* arg, const char* flag, T* out) {
   return true;
 }
 
+/// Parses all of `text`, the value of `flag`, as a finite decimal number
+/// in [min, max]; exits with status 2 and a message on anything else.
+double parse_real(const char* flag, const std::string& text, double min,
+                  double max);
+
 /// A figure bench's command line: the flags above, after which the bench
 /// exits with status 2 and a message when argv holds anything more (a
-/// bench with flags of its own removes them first), or when `--trace-out`
-/// / `--metrics-out` is given to a bench without an observed run
-/// (`observed`) or beside a harness output flag.
+/// bench with flags of its own removes them first).
 HarnessOptions extract_harness_flags(const std::string& bench, int argc,
-                                     char** argv, bool observed = false);
+                                     char** argv);
+
+/// Exits with status 2 and a message when `opts` sets a flag (spelled as
+/// on the command line, e.g. "--trace-out") that is not in `honoured`:
+/// for a binary that parses the flags above but writes only some of them.
+void honour_only(const std::string& binary, const HarnessOptions& opts,
+                 std::initializer_list<std::string_view> honoured);
 
 /// Writes one output file through `write`, then reports "bench: <what> ->
 /// <path>" on stderr.  Returns 1, with a message, when `path` cannot be
@@ -196,7 +188,10 @@ class Harness {
   /// installed and the registry rendered only when an output flag asks for
   /// them.  When --timeseries-out / --slo is set, the scenario's final
   /// registry additionally ingests into the cluster time-series store,
-  /// with the scenario ordinal standing in as the node id.
+  /// with the scenario ordinal standing in as the node id.  For
+  /// --trace-out the scenario's events join one trace after the earlier
+  /// scenarios': its virtual time shifted by their summed virtual_ns, its
+  /// request and span ids by the largest ids they used.
   std::map<std::string, double> run(
       const std::string& scenario,
       const std::function<void(Scenario&)>& body);
@@ -233,6 +228,7 @@ class Harness {
     std::size_t latency_count = 0;
     double latency_mean = 0, p0 = 0, p50 = 0, p99 = 0, p100 = 0;
     std::string registry_json;       // pre-rendered registry object
+    std::string registry_text;       // Registry::write dump (--metrics-out)
     std::string critical_path_json;  // aggregate breakdown object, or empty
     std::string critical_path_report;  // plain-text report
   };
@@ -246,6 +242,12 @@ class Harness {
   /// per-request critical paths after each scenario.
   obs::HeavyHitters hot_;
   trace::ExemplarStore exemplars_;
+  /// --trace-out: every scenario's events, already shifted (see run()),
+  /// and the shifts for the next scenario.
+  std::vector<trace::TraceEvent> trace_;
+  SimNanos trace_ns_ = 0;
+  std::uint64_t trace_requests_ = 0;
+  std::uint64_t trace_spans_ = 0;
 };
 
 }  // namespace dcs::bench

@@ -273,6 +273,10 @@ void Tracer::record(const TraceEvent& ev) {
 }
 
 void Tracer::write_chrome_json(std::ostream& os) const {
+  trace::write_chrome_json(os, events_);
+}
+
+void write_chrome_json(std::ostream& os, std::span<const TraceEvent> events) {
   os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   bool first = true;
   const auto emit = [&](const std::string& line) {
@@ -283,13 +287,13 @@ void Tracer::write_chrome_json(std::ostream& os) const {
   // Metadata: pid = simulated node, tid = category (first-seen order).
   std::map<std::string, std::uint32_t> tids;
   std::vector<const char*> tid_names;
-  for (const auto& ev : events_) {
+  for (const auto& ev : events) {
     if (tids.emplace(ev.category, tids.size()).second) {
       tid_names.push_back(ev.category);
     }
   }
   std::vector<std::uint32_t> nodes;
-  for (const auto& ev : events_) nodes.push_back(ev.node);
+  for (const auto& ev : events) nodes.push_back(ev.node);
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
   for (const std::uint32_t n : nodes) {
@@ -305,7 +309,7 @@ void Tracer::write_chrome_json(std::ostream& os) const {
     }
   }
 
-  for (const auto& ev : events_) {
+  for (const auto& ev : events) {
     std::string line = "{\"ph\":\"";
     // Request roots ('R') render as complete spans; Chrome has no native
     // request phase.

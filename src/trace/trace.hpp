@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -212,8 +213,8 @@ class Tracer {
   std::size_t event_count() const { return events_.size(); }
   const std::vector<TraceEvent>& events() const { return events_; }
 
-  /// Chrome trace_event JSON (chrome://tracing, Perfetto).  One process
-  /// per simulated node, one thread per category.  Deterministic.
+  /// Chrome trace_event JSON of this tracer's events (see the free
+  /// write_chrome_json below).
   void write_chrome_json(std::ostream& os) const;
   /// Plain-text per-(category,name) aggregate: count, total/mean/min/max
   /// span time in microseconds.  Deterministic.
@@ -225,6 +226,11 @@ class Tracer {
   std::uint64_t last_request_id_ = 0;
   std::uint64_t last_span_id_ = 0;
 };
+
+/// Chrome trace_event JSON (chrome://tracing, Perfetto) of `events`, in
+/// order.  One process per simulated node, one thread per category.
+/// Deterministic.
+void write_chrome_json(std::ostream& os, std::span<const TraceEvent> events);
 
 class FlightRecorder;
 

@@ -57,7 +57,14 @@ class ScaleGridTest(unittest.TestCase):
                          ["--partitions=4", "--shards=8"],
                          ["--nodes=128", "--partitions=128", "--clients=0",
                           "--ops=0", "--shards=65"],
-                         ["--shards=4294967295"]):
+                         ["--shards=4294967295"],
+                         # Flags the harness parses that this bench does
+                         # not write (it writes its own sharded outputs).
+                         ["--trace-out", ts],
+                         ["--bench-json", ts],
+                         ["--metrics-out", ts],
+                         ["--critical-path", ts],
+                         ["--batch", "4"]):
                 with self.subTest(args=" ".join(args)):
                     proc = run(*args)
                     self.assertEqual(proc.returncode, 2, proc.stderr)

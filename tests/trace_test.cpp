@@ -1,9 +1,13 @@
 // Observability layer: metrics registry semantics, tracer span recording,
 // CLI flag extraction, and the headline guarantee — two same-seed runs
 // produce byte-identical trace and metrics output.
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,7 +17,6 @@
 #include "harness.hpp"
 #include "sockets/sdp.hpp"
 #include "trace/critical_path.hpp"
-#include "trace/observe.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -153,7 +156,6 @@ TEST(ObserveFlagsTest, ExtractsAndRemovesBothFlags) {
   argv.push_back(nullptr);
   int argc = static_cast<int>(storage.size());
   const auto opts = bench::extract_harness_flags(argc, argv.data());
-  EXPECT_TRUE(opts.observe_mode());
   EXPECT_TRUE(opts.bench_json.empty());
   EXPECT_EQ(opts.trace_out, "t.json");
   EXPECT_EQ(opts.metrics_out, "m.txt");
@@ -172,27 +174,25 @@ TEST(ObserveFlagsTest, AbsentFlagsDisableObservation) {
   argv.push_back(nullptr);
   int argc = 2;
   const auto opts = bench::extract_harness_flags(argc, argv.data());
-  EXPECT_FALSE(opts.observe_mode());
+  EXPECT_TRUE(opts.trace_out.empty());
+  EXPECT_TRUE(opts.metrics_out.empty());
   EXPECT_TRUE(opts.bench_json.empty());
   EXPECT_EQ(argc, 2);
 }
 
-TEST(ObserveFlagsTest, PostmortemDirRoutesThroughObserveOptions) {
+TEST(ObserveFlagsTest, PostmortemDirIsExtractedAlone) {
   std::vector<std::string> storage = {"bench", "--postmortem-dir", "pm"};
   std::vector<char*> argv;
   for (auto& s : storage) argv.push_back(s.data());
   argv.push_back(nullptr);
   int argc = static_cast<int>(storage.size());
   const auto opts = bench::extract_harness_flags(argc, argv.data());
-  // A flight recorder arms the harness scenarios or the observed run; on
-  // its own it selects neither.
-  EXPECT_FALSE(opts.observe_mode());
+  // A flight recorder arms every harness scenario; on its own it asks for
+  // no other output.
+  EXPECT_EQ(opts.postmortem_dir, "pm");
+  EXPECT_TRUE(opts.trace_out.empty());
   EXPECT_TRUE(opts.bench_json.empty());
   EXPECT_EQ(argc, 1);
-  const auto observe = opts.observe("unit");
-  EXPECT_TRUE(observe.enabled());
-  EXPECT_EQ(observe.postmortem_dir, "pm");
-  EXPECT_EQ(observe.bench_name, "unit");
 }
 
 /// Owns an argv built from `args` (argv[0] = "bench") for the parser.
@@ -238,30 +238,37 @@ TEST(ObserveFlagsTest, BenchCommandLineRejectsLeftoverArguments) {
               ::testing::ExitedWithCode(2), "unexpected argument '--bogus'");
 }
 
-TEST(ObserveFlagsTest, BenchCommandLineRejectsTraceOutWithoutAnObservedRun) {
-  Argv a({"--trace-out", "t.json"});
-  EXPECT_EXIT(bench::extract_harness_flags("unit", a.argc, a.ptrs.data()),
-              ::testing::ExitedWithCode(2), "no observed run");
-}
-
-TEST(ObserveFlagsTest, BenchCommandLineRejectsObserveMixedWithHarnessOutput) {
-  Argv a({"--metrics-out", "m.txt", "--bench-json", "b.json"});
-  EXPECT_EXIT(bench::extract_harness_flags("unit", a.argc, a.ptrs.data(),
-                                           /*observed=*/true),
-              ::testing::ExitedWithCode(2), "cannot be combined");
-}
-
 TEST(ObserveFlagsTest, BenchCommandLineAcceptsObservedAndHarnessRuns) {
   Argv observed({"--trace-out", "t.json", "--postmortem-dir", "pm"});
   const auto observe_opts = bench::extract_harness_flags(
-      "unit", observed.argc, observed.ptrs.data(), /*observed=*/true);
-  EXPECT_TRUE(observe_opts.observe_mode());
+      "unit", observed.argc, observed.ptrs.data());
+  EXPECT_EQ(observe_opts.trace_out, "t.json");
   EXPECT_EQ(observe_opts.postmortem_dir, "pm");
   Argv harness({"--bench-json", "b.json", "--batch", "4"});
   const auto harness_opts =
       bench::extract_harness_flags("unit", harness.argc, harness.ptrs.data());
   EXPECT_EQ(harness_opts.bench_json, "b.json");
   EXPECT_EQ(harness_opts.batch, 4u);
+}
+
+TEST(ObserveFlagsTest, HonourOnlyRejectsFlagsABinaryDoesNotWrite) {
+  Argv a({"--postmortem-dir", "pm", "--hot-keys", "2"});
+  const auto opts = a.extract();
+  bench::honour_only("unit", opts, {"--postmortem-dir", "--hot-keys"});
+  EXPECT_EXIT(bench::honour_only("unit", opts, {"--postmortem-dir"}),
+              ::testing::ExitedWithCode(2), "unit: --hot-keys is not");
+  EXPECT_EXIT(bench::honour_only("unit", opts, {}),
+              ::testing::ExitedWithCode(2), "unit: --postmortem-dir is not");
+}
+
+TEST(ObserveFlagsTest, RealValuesRejectNonNumbersWithExit2) {
+  EXPECT_EQ(bench::parse_real("--alpha", "0.75", 0, 10), 0.75);
+  EXPECT_EQ(bench::parse_real("--alpha", "10", 0, 10), 10.0);
+  for (const char* text : {"", "x", "0.5x", "-0.1", "10.5", "nan", "inf"}) {
+    EXPECT_EXIT(bench::parse_real("--alpha", text, 0, 10),
+                ::testing::ExitedWithCode(2), "--alpha wants a number")
+        << "'" << text << "'";
+  }
 }
 
 // --- bench::Harness: tracer only when output is requested ---
@@ -303,6 +310,34 @@ TEST(HarnessTest, BenchJsonInstallsATracerAndRecordsReturnedMetrics) {
   EXPECT_NE(json.find("\"metrics\": {\"answer\": 42.500}"),
             std::string::npos)
       << json;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(HarnessTest, TraceOutBesideBenchJsonWritesBothFiles) {
+  Argv a({"--trace-out", ::testing::TempDir() + "harness_both.trace.json",
+          "--bench-json", ::testing::TempDir() + "harness_both.bench.json"});
+  const auto opts =
+      bench::extract_harness_flags("unit", a.argc, a.ptrs.data());
+  bench::Harness h("unit", opts);
+  h.run("cell", [](bench::Scenario& s) {
+    s.engine().spawn([](sim::Engine& e) -> sim::Task<void> {
+      trace::Request req("unit.request", 0);
+      co_await e.delay(250);
+    }(s.engine()));
+    s.engine().run();
+  });
+  ASSERT_EQ(h.finish(), 0);
+  const std::string trace = read_file(opts.trace_out);
+  EXPECT_NE(trace.find("\"name\":\"unit.request\""), std::string::npos)
+      << trace;
+  const std::string json = read_file(opts.bench_json);
+  EXPECT_NE(json.find("\"cell\": {"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"virtual_ns\": 250,"), std::string::npos) << json;
 }
 
 // --- determinism: the headline guarantee ---
@@ -365,14 +400,8 @@ struct RequestRun {
   double attributed = 0.0;
 };
 
-/// A fixed SDP workload whose sends are request roots.  With `traced`
-/// false nothing is recorded, which is the baseline for the overhead
-/// contract: instrumentation must not perturb the simulation.
-RequestRun request_run(bool traced) {
-  trace::Registry::global().reset();
-  sim::Engine eng;
-  trace::Tracer tracer(eng);
-  if (traced) tracer.install();
+/// Runs a fixed SDP workload on `eng` whose six sends are request roots.
+void sdp_requests(sim::Engine& eng) {
   fabric::Fabric fab(eng, fabric::FabricParams{}, {.num_nodes = 2});
   verbs::Network net(fab);
   sockets::SdpStream stream(net, 0, 1, sockets::SdpMode::kZeroCopy);
@@ -388,6 +417,17 @@ RequestRun request_run(bool traced) {
     for (int i = 0; i < kMsgs; ++i) (void)co_await s.recv();
   }(stream));
   eng.run();
+}
+
+/// The SDP request workload on a fresh engine.  With `traced` false
+/// nothing is recorded, which is the baseline for the overhead contract:
+/// instrumentation must not perturb the simulation.
+RequestRun request_run(bool traced) {
+  trace::Registry::global().reset();
+  sim::Engine eng;
+  trace::Tracer tracer(eng);
+  if (traced) tracer.install();
+  sdp_requests(eng);
   tracer.uninstall();
 
   RequestRun out;
@@ -456,6 +496,86 @@ TEST(CriticalPathTest, EmptyTraceYieldsEmptyDeterministicReport) {
   cp.write_report(b);
   EXPECT_EQ(a.str(), b.str());
   EXPECT_NE(a.str().find("requests 0"), std::string::npos) << a.str();
+}
+
+// --- bench::Harness --trace-out: one trace, scenarios end to end ---
+
+/// The number after `"key":` in one Chrome trace event line (0 if absent).
+double field(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find("\"" + key + "\":");
+  return at == std::string::npos ? 0
+                                 : std::stod(line.substr(at + key.size() + 3));
+}
+
+TEST(HarnessTest, OneScenarioTraceOutMatchesTheTracer) {
+  sim::Engine eng;
+  trace::Tracer tracer(eng);
+  tracer.install();
+  sdp_requests(eng);
+  tracer.uninstall();
+  std::ostringstream expected;
+  tracer.write_chrome_json(expected);
+
+  bench::HarnessOptions opts;
+  opts.trace_out = ::testing::TempDir() + "harness_one_scenario.json";
+  bench::Harness h("unit", opts);
+  h.run("only", [](bench::Scenario& s) { sdp_requests(s.engine()); });
+  ASSERT_EQ(h.finish(), 0);
+  EXPECT_EQ(read_file(opts.trace_out), expected.str());
+}
+
+TEST(HarnessTest, TwoScenariosShareOneTraceWithUniqueIds) {
+  bench::HarnessOptions opts;
+  opts.trace_out = ::testing::TempDir() + "harness_two_scenarios.json";
+  bench::Harness h("unit", opts);
+  for (const char* name : {"first", "second"}) {
+    h.run(name, [](bench::Scenario& s) { sdp_requests(s.engine()); });
+  }
+  ASSERT_EQ(h.finish(), 0);
+
+  // Both scenarios ran the same workload, so each owns half the events.
+  std::vector<std::string> events;
+  std::istringstream in(read_file(opts.trace_out));
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with("{\"ph\":\"X\"") ||
+        line.starts_with("{\"ph\":\"i\"")) {
+      events.push_back(line);
+    }
+  }
+  ASSERT_FALSE(events.empty());
+  ASSERT_EQ(events.size() % 2, 0u);
+  const std::size_t half = events.size() / 2;
+  // Chrome `ts`/`dur` print microseconds with three decimals: compare ns.
+  const auto ns = [](const std::string& ev, const char* key) {
+    return std::llround(1000 * field(ev, key));
+  };
+  long long first_end = 0;
+  long long second_start = std::numeric_limits<long long>::max();
+  std::set<double> roots, spans, second_spans;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::string& ev = events[i];
+    if (i < half) {
+      first_end = std::max(first_end, ns(ev, "ts") + ns(ev, "dur"));
+    } else {
+      second_start = std::min(second_start, ns(ev, "ts"));
+    }
+    if (ev.find("\"cat\":\"request\"") != std::string::npos) {
+      EXPECT_TRUE(roots.insert(field(ev, "request")).second) << ev;
+    }
+    if (const double span = field(ev, "span"); span != 0) {
+      EXPECT_TRUE(spans.insert(span).second) << ev;
+      if (i >= half) second_spans.insert(span);
+    }
+  }
+  EXPECT_EQ(roots.size(), 12u);  // six sdp.send requests per scenario
+  EXPECT_LE(first_end, second_start);
+  // A second-scenario span's parent is a second-scenario span.
+  for (std::size_t i = half; i < events.size(); ++i) {
+    const double parent = field(events[i], "parent");
+    if (parent != 0) {
+      EXPECT_TRUE(second_spans.contains(parent)) << events[i];
+    }
+  }
 }
 
 }  // namespace

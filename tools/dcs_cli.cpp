@@ -16,12 +16,16 @@
 //
 // All numbers are deterministic virtual-time results.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
-#include <sstream>
+#include <set>
 #include <string>
 
 #include "audit/audit.hpp"
@@ -38,95 +42,89 @@
 #include "monitor/watchdog.hpp"
 #include "obs/explain.hpp"
 #include "obs/flame.hpp"
-#include "obs/slo.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/top.hpp"
 #include "sim/sync.hpp"
 #include "storm/storm.hpp"
 #include "trace/flight.hpp"
 #include "trace/inspect.hpp"
-#include "trace/observe.hpp"
 
 using namespace dcs;
 
 namespace {
 
+/// The `--flag value` pairs after the command name.  A command reads its
+/// flags through the checked getters below, then calls check_all_read(),
+/// which rejects any flag no getter read.  Every malformed argument exits
+/// with status 2 and a message before a simulation starts.
 class Args {
  public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_[argv[i] + 2] = argv[i + 1];
+  Args(std::string cmd, int argc, char** argv) : cmd_(std::move(cmd)) {
+    for (int i = 2; i < argc; i += 2) {
+      const std::string flag = argv[i];
+      if (flag.size() < 3 || flag.compare(0, 2, "--") != 0) {
+        fail("unexpected argument '" + flag + "'");
       }
+      if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        fail(flag + " needs a value");
+      }
+      values_[flag] = argv[i + 1];
     }
   }
-  std::string str(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it != values_.end() ? it->second : fallback;
+  /// The value of `flag`, one of `names`; the first name is the default.
+  std::string choice(const char* flag,
+                     std::initializer_list<const char*> names) {
+    const std::string* text = read(flag);
+    if (text == nullptr) return *names.begin();
+    for (const char* name : names) {
+      if (*text == name) return name;
+    }
+    std::string accepted;
+    for (const char* name : names) accepted += std::string(" ") + name;
+    fail("unknown " + std::string(flag) + " '" + *text + "' (accepted:" +
+         accepted + ")");
   }
-  long num(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it != values_.end() ? std::stol(it->second) : fallback;
+  /// A count in [min, max] (bench::parse_count), or `fallback`.
+  std::uint64_t count(const char* flag, std::uint64_t fallback,
+                      std::uint64_t min, std::uint64_t max) {
+    const std::string* text = read(flag);
+    if (text == nullptr) return fallback;
+    const std::uint64_t value = bench::parse_count(flag, *text, max);
+    if (value < min) {
+      fail(std::string(flag) + " must be at least " + std::to_string(min));
+    }
+    return value;
   }
-  double real(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it != values_.end() ? std::stod(it->second) : fallback;
+  /// A number in [min, max] (bench::parse_real), or `fallback`.
+  double real(const char* flag, double fallback, double min, double max) {
+    const std::string* text = read(flag);
+    return text == nullptr ? fallback
+                           : bench::parse_real(flag, *text, min, max);
+  }
+  void check_all_read() const {
+    for (const auto& [flag, value] : values_) {
+      if (!read_.contains(flag)) fail("unknown flag " + flag);
+    }
+  }
+  [[noreturn]] void fail(const std::string& why) const {
+    std::fprintf(stderr, "dcs %s: %s\n", cmd_.c_str(), why.c_str());
+    std::exit(2);
   }
 
  private:
+  const std::string* read(const char* flag) {
+    read_.insert(flag);
+    const auto it = values_.find(flag);
+    return it != values_.end() ? &it->second : nullptr;
+  }
+
+  std::string cmd_;
   std::map<std::string, std::string> values_;
+  std::set<std::string> read_;
 };
 
-/// Every command takes the unified observability flags (parsed once by
-/// bench::extract_harness_flags in main); the returned options feed a
-/// trace::ObservedRun scoped around the engine.
-trace::ObserveOptions observe_opts(const bench::HarnessOptions& flags,
-                                   const char* command) {
-  return flags.observe(std::string("dcs_") + command);
-}
-
-/// Scoped `--timeseries-out` / `--slo` handling for a run command: on
-/// scope exit the run's final registry ingests as node 0 of a one-node
-/// cluster dump, the SLO rules (if any) evaluate against it, and the
-/// dcs-timeseries-v1 dump / alert stream are written.  Declare after
-/// trace::ObservedRun so it runs first, while the registry is still live.
-class TimeSeriesScope {
- public:
-  TimeSeriesScope(sim::Engine& eng, const bench::HarnessOptions& flags)
-      : eng_(eng), flags_(flags) {}
-  TimeSeriesScope(const TimeSeriesScope&) = delete;
-  TimeSeriesScope& operator=(const TimeSeriesScope&) = delete;
-  ~TimeSeriesScope() {
-    if (flags_.timeseries_out.empty() && flags_.slo_rules.empty()) return;
-    obs::TimeSeriesStore store;
-    store.ingest_registry(0, eng_.now(), trace::Registry::global());
-    obs::SloEngine slo(store);
-    if (!flags_.slo_rules.empty()) {
-      std::string error;
-      auto rules = obs::parse_slo_rules_file(flags_.slo_rules, &error);
-      if (!error.empty()) std::fprintf(stderr, "dcs: %s\n", error.c_str());
-      for (auto& rule : rules) slo.add_rule(std::move(rule));
-      slo.evaluate(eng_.now());
-      std::ostringstream stream;
-      obs::write_alert_stream(stream, slo.alerts());
-      std::fputs(stream.str().c_str(), stderr);
-    }
-    if (flags_.timeseries_out.empty()) return;
-    std::ofstream os(flags_.timeseries_out);
-    if (!os) {
-      std::fprintf(stderr, "dcs: cannot open %s\n",
-                   flags_.timeseries_out.c_str());
-      return;
-    }
-    obs::write_timeseries_json(os, store, slo.alerts());
-    std::fprintf(stderr, "dcs: %zu series -> %s\n", store.all().size(),
-                 flags_.timeseries_out.c_str());
-  }
-
- private:
-  sim::Engine& eng_;
-  const bench::HarnessOptions& flags_;
-};
+/// A run command parses its flags, then returns the simulation it runs as
+/// the harness scenario "run".
+using RunBody = std::function<void(bench::Scenario&)>;
 
 int cmd_params() {
   const fabric::FabricParams p;
@@ -150,209 +148,215 @@ int cmd_params() {
   return 0;
 }
 
-int cmd_cache(const Args& args, const bench::HarnessOptions& flags) {
-  const std::string scheme_name = args.str("scheme", "HYBCC");
+RunBody cmd_cache(Args& args) {
+  const std::string scheme_name =
+      args.choice("--scheme", {"HYBCC", "AC", "BCC", "CCWR", "MTACC"});
   cache::Scheme scheme = cache::Scheme::kHYBCC;
   for (const auto s : {cache::Scheme::kAC, cache::Scheme::kBCC,
                        cache::Scheme::kCCWR, cache::Scheme::kMTACC,
                        cache::Scheme::kHYBCC}) {
     if (scheme_name == cache::to_string(s)) scheme = s;
   }
-  const auto proxies_n = static_cast<std::size_t>(args.num("proxies", 2));
-  const std::size_t file_bytes =
-      static_cast<std::size_t>(args.num("file-kb", 16)) * 1024;
-  const double alpha = args.real("alpha", 0.75);
-  const auto requests = static_cast<std::size_t>(args.num("requests", 3000));
-  const std::size_t cache_mb =
-      static_cast<std::size_t>(args.num("cache-mb", 4));
-  const std::size_t ws_mb = static_cast<std::size_t>(args.num("ws-mb", 12));
-
-  sim::Engine eng;
-  trace::ObservedRun observed(eng, observe_opts(flags, __func__ + 4));
-  TimeSeriesScope timeseries(eng, flags);
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = 6 + proxies_n, .cores_per_node = 2,
-                      .mem_per_node = 64u << 20});
-  verbs::Network net(fab);
-  sockets::TcpNetwork tcp(fab);
-  std::vector<fabric::NodeId> proxies, donors, backends;
-  for (std::size_t i = 0; i < proxies_n; ++i) {
-    proxies.push_back(static_cast<fabric::NodeId>(2 + i));
-  }
-  donors = {static_cast<fabric::NodeId>(2 + proxies_n),
-            static_cast<fabric::NodeId>(3 + proxies_n)};
-  backends = {static_cast<fabric::NodeId>(4 + proxies_n),
-              static_cast<fabric::NodeId>(5 + proxies_n)};
-
+  const std::size_t proxies_n = args.count("--proxies", 2, 1, 64);
+  const std::size_t file_bytes = args.count("--file-kb", 16, 1, 4096) * 1024;
+  const double alpha = args.real("--alpha", 0.75, 0.0, 10.0);
+  const std::size_t requests = args.count("--requests", 3000, 1, 1000000);
+  const std::size_t cache_mb = args.count("--cache-mb", 4, 0, 1u << 20);
+  const std::size_t ws_mb = args.count("--ws-mb", 12, 1, 4096);
   const std::size_t num_docs = ws_mb * 1024 * 1024 / file_bytes;
-  datacenter::DocumentStore store(
-      {.num_docs = num_docs, .doc_bytes = file_bytes});
-  datacenter::BackendService backend(tcp, store, backends);
-  backend.start();
-  cache::CoopCacheService coop(net, backend, store, scheme, proxies, donors,
-                               {.capacity_per_node = cache_mb << 20});
-  datacenter::WebFarm farm(tcp, proxies, coop.handler());
-  farm.start();
-  datacenter::ClientFarm clients(tcp, {0, 1}, proxies, store,
-                                 {.sessions = 4 * proxies_n});
-  ZipfTrace trace(num_docs, alpha, requests, 42);
-  eng.spawn(clients.run({trace.requests().begin(), trace.requests().end()}));
-  eng.run();
+  if (num_docs == 0) {
+    args.fail("--ws-mb must hold at least one --file-kb document");
+  }
 
-  Table t({"metric", "value"});
-  t.add_row({"scheme", cache::to_string(scheme)});
-  t.add_row({"throughput", Table::fmt(clients.stats().tps(), 0) + " TPS"});
-  t.add_row({"mean latency",
-             Table::fmt(const_cast<datacenter::RunStats&>(clients.stats())
-                            .latency_us.mean(),
-                        0) + " us"});
-  t.add_row({"hit rate", Table::fmt(100 * coop.stats().hit_rate(), 1) + " %"});
-  t.add_row({"integrity failures",
-             std::to_string(clients.stats().integrity_failures)});
-  t.add_row({"audit", coop.audit().empty() ? "clean" : coop.audit()});
-  t.print("cooperative cache run (" + std::to_string(proxies_n) +
-          " proxies, " + std::to_string(file_bytes / 1024) + " KB docs, a=" +
-          Table::fmt(alpha, 2) + ")");
-  return 0;
+  return [=](bench::Scenario& s) {
+    sim::Engine& eng = s.engine();
+    fabric::Fabric fab(eng, fabric::FabricParams{},
+                       {.num_nodes = 6 + proxies_n, .cores_per_node = 2,
+                        .mem_per_node = 64u << 20});
+    verbs::Network net(fab);
+    sockets::TcpNetwork tcp(fab);
+    std::vector<fabric::NodeId> proxies, donors, backends;
+    for (std::size_t i = 0; i < proxies_n; ++i) {
+      proxies.push_back(static_cast<fabric::NodeId>(2 + i));
+    }
+    donors = {static_cast<fabric::NodeId>(2 + proxies_n),
+              static_cast<fabric::NodeId>(3 + proxies_n)};
+    backends = {static_cast<fabric::NodeId>(4 + proxies_n),
+                static_cast<fabric::NodeId>(5 + proxies_n)};
+
+    datacenter::DocumentStore store(
+        {.num_docs = num_docs, .doc_bytes = file_bytes});
+    datacenter::BackendService backend(tcp, store, backends);
+    backend.start();
+    cache::CoopCacheService coop(net, backend, store, scheme, proxies, donors,
+                                 {.capacity_per_node = cache_mb << 20});
+    datacenter::WebFarm farm(tcp, proxies, coop.handler());
+    farm.start();
+    datacenter::ClientFarm clients(tcp, {0, 1}, proxies, store,
+                                   {.sessions = 4 * proxies_n});
+    ZipfTrace trace(num_docs, alpha, requests, 42);
+    eng.spawn(clients.run({trace.requests().begin(), trace.requests().end()}));
+    eng.run();
+
+    Table t({"metric", "value"});
+    t.add_row({"scheme", cache::to_string(scheme)});
+    t.add_row({"throughput", Table::fmt(clients.stats().tps(), 0) + " TPS"});
+    t.add_row({"mean latency",
+               Table::fmt(const_cast<datacenter::RunStats&>(clients.stats())
+                              .latency_us.mean(),
+                          0) + " us"});
+    t.add_row(
+        {"hit rate", Table::fmt(100 * coop.stats().hit_rate(), 1) + " %"});
+    t.add_row({"integrity failures",
+               std::to_string(clients.stats().integrity_failures)});
+    t.add_row({"audit", coop.audit().empty() ? "clean" : coop.audit()});
+    t.print("cooperative cache run (" + std::to_string(proxies_n) +
+            " proxies, " + std::to_string(file_bytes / 1024) +
+            " KB docs, a=" + Table::fmt(alpha, 2) + ")");
+  };
 }
 
-int cmd_locks(const Args& args, const bench::HarnessOptions& flags) {
-  const std::string scheme = args.str("scheme", "ncosed");
-  const int waiters = static_cast<int>(args.num("waiters", 8));
-  const std::string mode_name = args.str("mode", "shared");
+RunBody cmd_locks(Args& args) {
+  const std::string scheme =
+      args.choice("--scheme", {"ncosed", "srsl", "dqnl"});
+  const int waiters = static_cast<int>(args.count("--waiters", 8, 1, 1024));
+  const std::string mode_name =
+      args.choice("--mode", {"shared", "exclusive"});
   const auto mode = mode_name == "shared" ? dlm::LockMode::kShared
                                           : dlm::LockMode::kExclusive;
-  sim::Engine eng;
-  trace::ObservedRun observed(eng, observe_opts(flags, __func__ + 4));
-  TimeSeriesScope timeseries(eng, flags);
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = static_cast<std::size_t>(waiters + 4),
-                      .cores_per_node = 2});
-  verbs::Network net(fab);
-  std::unique_ptr<dlm::LockManager> mgr;
-  if (scheme == "srsl") {
-    auto srsl = std::make_unique<dlm::SrslLockManager>(net, 0);
-    srsl->start();
-    mgr = std::move(srsl);
-  } else if (scheme == "dqnl") {
-    mgr = std::make_unique<dlm::DqnlLockManager>(net, 0);
-  } else {
-    mgr = std::make_unique<dlm::NcosedLockManager>(net, 0);
-  }
+  return [=](bench::Scenario& s) {
+    sim::Engine& eng = s.engine();
+    fabric::Fabric fab(eng, fabric::FabricParams{},
+                       {.num_nodes = static_cast<std::size_t>(waiters + 4),
+                        .cores_per_node = 2});
+    verbs::Network net(fab);
+    std::unique_ptr<dlm::LockManager> mgr;
+    if (scheme == "srsl") {
+      auto srsl = std::make_unique<dlm::SrslLockManager>(net, 0);
+      srsl->start();
+      mgr = std::move(srsl);
+    } else if (scheme == "dqnl") {
+      mgr = std::make_unique<dlm::DqnlLockManager>(net, 0);
+    } else {
+      mgr = std::make_unique<dlm::NcosedLockManager>(net, 0);
+    }
 
-  SimNanos release_at = 0, last_grant = 0;
-  eng.spawn([](sim::Engine& e, dlm::LockManager& m, SimNanos& rel)
-                -> sim::Task<void> {
-    co_await m.lock_exclusive(1, 0);
-    co_await e.delay(milliseconds(1));
-    rel = e.now();
-    co_await m.unlock(1, 0);
-  }(eng, *mgr, release_at));
-  for (int i = 0; i < waiters; ++i) {
-    eng.spawn([](sim::Engine& e, dlm::LockManager& m, fabric::NodeId self,
-                 dlm::LockMode md, SimNanos& last) -> sim::Task<void> {
-      co_await e.delay(microseconds(50 + 10 * self));
-      {
-        // Request root so --critical-path splits acquire latency into
-        // lock-wait vs protocol cost.
-        trace::Request req("dlm.acquire", self, self);
-        co_await m.lock(self, 0, md);
-      }
-      last = std::max(last, e.now());
-      co_await m.unlock(self, 0);
-    }(eng, *mgr, static_cast<fabric::NodeId>(2 + i), mode, last_grant));
-  }
-  eng.run();
+    SimNanos release_at = 0, last_grant = 0;
+    eng.spawn([](sim::Engine& e, dlm::LockManager& m, SimNanos& rel)
+                  -> sim::Task<void> {
+      co_await m.lock_exclusive(1, 0);
+      co_await e.delay(milliseconds(1));
+      rel = e.now();
+      co_await m.unlock(1, 0);
+    }(eng, *mgr, release_at));
+    for (int i = 0; i < waiters; ++i) {
+      eng.spawn([](sim::Engine& e, dlm::LockManager& m, fabric::NodeId self,
+                   dlm::LockMode md, SimNanos& last) -> sim::Task<void> {
+        co_await e.delay(microseconds(50 + 10 * self));
+        {
+          // Request root so --critical-path splits acquire latency into
+          // lock-wait vs protocol cost.
+          trace::Request req("dlm.acquire", self, self);
+          co_await m.lock(self, 0, md);
+        }
+        last = std::max(last, e.now());
+        co_await m.unlock(self, 0);
+      }(eng, *mgr, static_cast<fabric::NodeId>(2 + i), mode, last_grant));
+    }
+    eng.run();
 
-  Table t({"metric", "value"});
-  t.add_row({"scheme", mgr->name()});
-  t.add_row({"mode", mode_name});
-  t.add_row({"waiters", std::to_string(waiters)});
-  t.add_row({"cascade latency",
-             Table::fmt(to_micros(last_grant - release_at), 1) + " us"});
-  t.print("lock cascade run");
-  return 0;
+    Table t({"metric", "value"});
+    t.add_row({"scheme", mgr->name()});
+    t.add_row({"mode", mode_name});
+    t.add_row({"waiters", std::to_string(waiters)});
+    t.add_row({"cascade latency",
+               Table::fmt(to_micros(last_grant - release_at), 1) + " us"});
+    t.print("lock cascade run");
+  };
 }
 
-int cmd_monitor(const Args& args, const bench::HarnessOptions& flags) {
-  const std::string scheme_name = args.str("scheme", "rdma-sync");
+RunBody cmd_monitor(Args& args) {
+  const std::string scheme_name =
+      args.choice("--scheme", {"rdma-sync", "socket-sync", "socket-async",
+                               "rdma-async", "e-rdma-sync"});
   monitor::MonScheme scheme = monitor::MonScheme::kRdmaSync;
   if (scheme_name == "socket-sync") scheme = monitor::MonScheme::kSocketSync;
   if (scheme_name == "socket-async") scheme = monitor::MonScheme::kSocketAsync;
   if (scheme_name == "rdma-async") scheme = monitor::MonScheme::kRdmaAsync;
   if (scheme_name == "e-rdma-sync") scheme = monitor::MonScheme::kERdmaSync;
-  const int jobs = static_cast<int>(args.num("jobs", 4));
+  const int jobs = static_cast<int>(args.count("--jobs", 4, 0, 1024));
 
-  sim::Engine eng;
-  trace::ObservedRun observed(eng, observe_opts(flags, __func__ + 4));
-  TimeSeriesScope timeseries(eng, flags);
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = 2, .cores_per_node = 1});
-  verbs::Network net(fab);
-  sockets::TcpNetwork tcp(fab);
-  monitor::ResourceMonitor mon(net, tcp, 0, {1}, scheme);
-  mon.start();
-  for (int j = 0; j < jobs; ++j) eng.spawn(fab.node(1).execute(seconds(1)));
+  return [=](bench::Scenario& s) {
+    sim::Engine& eng = s.engine();
+    fabric::Fabric fab(eng, fabric::FabricParams{},
+                       {.num_nodes = 2, .cores_per_node = 1});
+    verbs::Network net(fab);
+    sockets::TcpNetwork tcp(fab);
+    monitor::ResourceMonitor mon(net, tcp, 0, {1}, scheme);
+    mon.start();
+    for (int j = 0; j < jobs; ++j) eng.spawn(fab.node(1).execute(seconds(1)));
 
-  SimNanos latency = 0;
-  std::uint64_t reported = 0;
-  eng.spawn([](sim::Engine& e, monitor::ResourceMonitor& m, SimNanos& lat,
-               std::uint64_t& rep) -> sim::Task<void> {
-    co_await e.delay(milliseconds(50));
-    const auto t0 = e.now();
-    monitor::Sample s;
-    {
-      trace::Request req("monitor.query", 0, 1);
-      s = co_await m.query(1);
-    }
-    lat = e.now() - t0;
-    rep = s.stats.runnable;
-  }(eng, mon, latency, reported));
-  eng.run_until(milliseconds(200));
+    SimNanos latency = 0;
+    std::uint64_t reported = 0;
+    eng.spawn([](sim::Engine& e, monitor::ResourceMonitor& m, SimNanos& lat,
+                 std::uint64_t& rep) -> sim::Task<void> {
+      co_await e.delay(milliseconds(50));
+      const auto t0 = e.now();
+      monitor::Sample smp;
+      {
+        trace::Request req("monitor.query", 0, 1);
+        smp = co_await m.query(1);
+      }
+      lat = e.now() - t0;
+      rep = smp.stats.runnable;
+    }(eng, mon, latency, reported));
+    eng.run_until(milliseconds(200));
 
-  Table t({"metric", "value"});
-  t.add_row({"scheme", monitor::to_string(scheme)});
-  t.add_row({"actual runnable", std::to_string(jobs)});
-  t.add_row({"reported runnable", std::to_string(reported)});
-  t.add_row({"query latency", Table::fmt(to_micros(latency), 1) + " us"});
-  t.add_row({"target CPU consumed by monitoring",
-             std::to_string(fab.node(1).busy_ns() -
-                            static_cast<std::uint64_t>(0)) + " ns (incl. load)"});
-  t.print("resource monitor probe");
-  return 0;
+    Table t({"metric", "value"});
+    t.add_row({"scheme", monitor::to_string(scheme)});
+    t.add_row({"actual runnable", std::to_string(jobs)});
+    t.add_row({"reported runnable", std::to_string(reported)});
+    t.add_row({"query latency", Table::fmt(to_micros(latency), 1) + " us"});
+    t.add_row({"target CPU consumed by monitoring",
+               std::to_string(fab.node(1).busy_ns() -
+                              static_cast<std::uint64_t>(0)) +
+                   " ns (incl. load)"});
+    t.print("resource monitor probe");
+  };
 }
 
-int cmd_storm(const Args& args, const bench::HarnessOptions& flags) {
-  const auto records = static_cast<std::uint64_t>(args.num("records", 100000));
-  const auto plane = args.str("plane", "ddss") == "ddss"
+RunBody cmd_storm(Args& args) {
+  const std::uint64_t records =
+      args.count("--records", 100000, 0, 1000000000);
+  const auto plane = args.choice("--plane", {"ddss", "sockets"}) == "ddss"
                          ? storm::ControlPlane::kDdss
                          : storm::ControlPlane::kSockets;
-  sim::Engine eng;
-  trace::ObservedRun observed(eng, observe_opts(flags, __func__ + 4));
-  TimeSeriesScope timeseries(eng, flags);
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = 5, .cores_per_node = 2});
-  verbs::Network net(fab);
-  sockets::TcpNetwork tcp(fab);
-  storm::StormCluster cluster(net, tcp, plane, 0, 1, {2, 3, 4});
-  eng.spawn(cluster.start());
-  eng.run();
-  storm::QueryResult result;
-  eng.spawn([](storm::StormCluster& c, std::uint64_t n,
-               storm::QueryResult& out) -> sim::Task<void> {
-    trace::Request req("storm.query", 0, n);
-    out = co_await c.run_query(n);
-  }(cluster, records, result));
-  eng.run();
+  return [=](bench::Scenario& s) {
+    sim::Engine& eng = s.engine();
+    fabric::Fabric fab(eng, fabric::FabricParams{},
+                       {.num_nodes = 5, .cores_per_node = 2});
+    verbs::Network net(fab);
+    sockets::TcpNetwork tcp(fab);
+    storm::StormCluster cluster(net, tcp, plane, 0, 1, {2, 3, 4});
+    eng.spawn(cluster.start());
+    eng.run();
+    storm::QueryResult result;
+    eng.spawn([](storm::StormCluster& c, std::uint64_t n,
+                 storm::QueryResult& out) -> sim::Task<void> {
+      trace::Request req("storm.query", 0, n);
+      out = co_await c.run_query(n);
+    }(cluster, records, result));
+    eng.run();
 
-  Table t({"metric", "value"});
-  t.add_row({"control plane", storm::to_string(plane)});
-  t.add_row({"records scanned", std::to_string(result.records_scanned)});
-  t.add_row({"records returned", std::to_string(result.records_returned)});
-  t.add_row({"control-plane ops", std::to_string(result.control_ops)});
-  t.add_row({"query time", Table::fmt(to_millis(result.elapsed), 2) + " ms"});
-  t.print("STORM query run");
-  return 0;
+    Table t({"metric", "value"});
+    t.add_row({"control plane", storm::to_string(plane)});
+    t.add_row({"records scanned", std::to_string(result.records_scanned)});
+    t.add_row({"records returned", std::to_string(result.records_returned)});
+    t.add_row({"control-plane ops", std::to_string(result.control_ops)});
+    t.add_row(
+        {"query time", Table::fmt(to_millis(result.elapsed), 2) + " ms"});
+    t.print("STORM query run");
+  };
 }
 
 // --- wedge: seeded failure scenarios that trip the flight recorder ---
@@ -364,18 +368,16 @@ int cmd_storm(const Args& args, const bench::HarnessOptions& flags) {
 /// watchdog, or (violation) a seeded use-after-deregister under
 /// OnViolation::kPostmortem.  Each run writes deterministic
 /// dcs-postmortem-v1 dumps for `dcs inspect`.
-int cmd_wedge(const Args& args, const bench::HarnessOptions& flags) {
-  const std::string scenario = args.str("scenario", "stall");
-  if (scenario != "stall" && scenario != "deadline" &&
-      scenario != "violation") {
-    std::fprintf(stderr, "wedge: unknown --scenario %s\n", scenario.c_str());
-    return 2;
-  }
-  const int waiters = static_cast<int>(args.num("waiters", 3));
+int cmd_wedge(Args& args, const bench::HarnessOptions& flags) {
+  const std::string scenario =
+      args.choice("--scenario", {"stall", "deadline", "violation"});
+  const int waiters = static_cast<int>(args.count("--waiters", 3, 1, 1024));
+  const std::size_t ring = args.count("--ring", 128, 0, 1u << 20);
+  args.check_all_read();
 
   sim::Engine eng;
   trace::FlightConfig fc;
-  fc.ring_capacity = static_cast<std::size_t>(args.num("ring", 128));
+  fc.ring_capacity = ring;
   fc.postmortem_dir =
       flags.postmortem_dir.empty() ? "." : flags.postmortem_dir;
   fc.prefix = "dcs_wedge_" + scenario;
@@ -462,6 +464,14 @@ int cmd_wedge(const Args& args, const bench::HarnessOptions& flags) {
 
 // --- inspect: offline queries over dumps and trace JSON ---
 
+/// An offline command's `flag` value as a count (bench::parse_count) up to
+/// the largest `T`.
+template <typename T = std::uint64_t>
+T count(const std::string& flag, const char* text) {
+  return static_cast<T>(bench::parse_count(flag.c_str(), text,
+                                           std::numeric_limits<T>::max()));
+}
+
 int cmd_inspect(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
@@ -484,19 +494,19 @@ int cmd_inspect(int argc, char** argv) {
     if (flag == "--self-check") {
       opts.self_check = true;
     } else if (flag == "--node") {
-      opts.node = static_cast<std::uint32_t>(std::stoul(value()));
+      opts.node = count<std::uint32_t>(flag, value());
     } else if (flag == "--layer") {
       opts.layer = value();
     } else if (flag == "--request") {
-      opts.request = std::stoull(value());
+      opts.request = count(flag, value());
     } else if (flag == "--from") {
-      opts.from_ns = std::stoull(value());
+      opts.from_ns = count(flag, value());
     } else if (flag == "--to") {
-      opts.to_ns = std::stoull(value());
+      opts.to_ns = count(flag, value());
     } else if (flag == "--timeline") {
-      opts.timeline = std::stoull(value());
+      opts.timeline = count(flag, value());
     } else if (flag == "--top") {
-      opts.top = static_cast<std::size_t>(std::stoul(value()));
+      opts.top = count(flag, value());
     } else if (flag == "--diff") {
       opts.diff_path = value();
     } else {
@@ -530,9 +540,9 @@ int cmd_top(int argc, char** argv) {
     if (flag == "--self-check") {
       opts.self_check = true;
     } else if (flag == "--node") {
-      opts.node = static_cast<std::uint32_t>(std::stoul(value()));
+      opts.node = count<std::uint32_t>(flag, value());
     } else if (flag == "--windows") {
-      opts.windows = static_cast<std::size_t>(std::stoul(value()));
+      opts.windows = count(flag, value());
     } else {
       std::fprintf(stderr, "top: unknown flag %s\n", flag.c_str());
       return 2;
@@ -569,7 +579,7 @@ int cmd_explain(int argc, char** argv) {
     } else if (flag == "--postmortem") {
       opts.postmortem = value();
     } else if (flag == "--top") {
-      opts.top = static_cast<std::size_t>(std::stoul(value()));
+      opts.top = count(flag, value());
     } else {
       std::fprintf(stderr, "explain: unknown flag %s\n", flag.c_str());
       return 2;
@@ -633,15 +643,20 @@ void usage() {
       "  flame   FILE [--out PROFILE.json]\n"
       "          span tree -> speedscope self-time profile from a\n"
       "          --trace-out Chrome trace\n\n"
-      "observability (any command except params/inspect/top/explain/"
-      "flame):\n"
+      "observability (cache, locks, monitor, storm; each run is the\n"
+      "bench::Harness scenario \"run\"):\n"
       "  --trace-out FILE      write a Chrome trace_event JSON of the run\n"
       "  --metrics-out FILE    write the metrics registry dump of the run\n"
       "  --critical-path FILE  write the critical-path attribution report\n"
       "  --bench-json FILE     write a dcs-bench-v1 telemetry snapshot\n"
+      "  --bench-wall-json FILE write the run's host wall-time telemetry\n"
       "  --postmortem-dir DIR  arm a flight recorder; trips dump there\n"
+      "                        (wedge takes this one flag too)\n"
       "  --timeseries-out FILE write a dcs-timeseries-v1 dump of the run\n"
-      "  --slo FILE            evaluate SLO rules; alert stream to stderr\n");
+      "  --slo FILE            evaluate SLO rules; alert stream to stderr\n"
+      "  --hotset-out FILE     write the dcs-hotset-v1 hot-key dump\n"
+      "  --exemplars-out FILE  write the dcs-exemplar-v1 tail exemplars\n"
+      "  --hot-keys N          print the top-N hot keys per domain\n");
 }
 
 }  // namespace
@@ -656,14 +671,35 @@ int main(int argc, char** argv) {
   if (cmd == "top") return cmd_top(argc, argv);
   if (cmd == "explain") return cmd_explain(argc, argv);
   if (cmd == "flame") return cmd_flame(argc, argv);
+  const std::map<std::string, RunBody (*)(Args&)> runs = {
+      {"cache", cmd_cache},
+      {"locks", cmd_locks},
+      {"monitor", cmd_monitor},
+      {"storm", cmd_storm}};
+  const auto run = runs.find(cmd);
+  if (run == runs.end() && cmd != "params" && cmd != "wedge") {
+    usage();
+    return 1;
+  }
   const auto flags = bench::extract_harness_flags(argc, argv);
-  const Args args(argc, argv);
-  if (cmd == "params") return cmd_params();
-  if (cmd == "cache") return cmd_cache(args, flags);
-  if (cmd == "locks") return cmd_locks(args, flags);
-  if (cmd == "monitor") return cmd_monitor(args, flags);
-  if (cmd == "storm") return cmd_storm(args, flags);
-  if (cmd == "wedge") return cmd_wedge(args, flags);
-  usage();
-  return 1;
+  Args args(cmd, argc, argv);
+  if (cmd == "params") {
+    bench::honour_only("dcs params", flags, {});
+    args.check_all_read();
+    return cmd_params();
+  }
+  if (cmd == "wedge") {
+    bench::honour_only("dcs wedge", flags, {"--postmortem-dir"});
+    return cmd_wedge(args, flags);
+  }
+  const RunBody body = run->second(args);
+  args.check_all_read();
+  bench::honour_only(
+      "dcs " + cmd, flags,
+      {"--bench-json", "--bench-wall-json", "--critical-path",
+       "--timeseries-out", "--slo", "--trace-out", "--metrics-out",
+       "--postmortem-dir", "--exemplars-out", "--hotset-out", "--hot-keys"});
+  bench::Harness h("dcs_" + cmd, flags);
+  h.run("run", body);
+  return h.finish();
 }
