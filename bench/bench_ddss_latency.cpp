@@ -127,7 +127,8 @@ void print_batch_table(bench::Harness& h, std::size_t max_batch) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("ddss_latency", argc, argv);
+  const auto opts = bench::extract_harness_flags("ddss_latency", argc, argv,
+                                                 /*sweeps_batches=*/true);
   bench::Harness h("ddss_latency", opts);
   print_fig3a(h);
   print_batch_table(h, opts.batch);

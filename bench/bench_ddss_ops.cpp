@@ -255,7 +255,8 @@ void print_get_sweep_table(bench::Harness& h, std::size_t max_batch) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("ddss_ops", argc, argv);
+  const auto opts = bench::extract_harness_flags("ddss_ops", argc, argv,
+                                                 /*sweeps_batches=*/true);
   bench::Harness h("ddss_ops", opts);
   print_get_table(h);
   print_ipc_table(h);

@@ -144,11 +144,18 @@ HarnessOptions extract_harness_flags(int& argc, char** argv) {
 }
 
 HarnessOptions extract_harness_flags(const std::string& bench, int argc,
-                                     char** argv) {
+                                     char** argv, bool sweeps_batches) {
   const HarnessOptions opts = extract_harness_flags(argc, argv);
   if (argc > 1) {
     std::fprintf(stderr, "bench_%s: unexpected argument '%s'\n",
                  bench.c_str(), argv[1]);
+    std::exit(2);
+  }
+  if (opts.batch > 0 && !sweeps_batches) {
+    std::fprintf(stderr,
+                 "bench_%s: --batch is not supported here (no batched "
+                 "sweep)\n",
+                 bench.c_str());
     std::exit(2);
   }
   return opts;

@@ -126,9 +126,10 @@ double parse_real(const char* flag, const std::string& text, double min,
 
 /// A figure bench's command line: the flags above, after which the bench
 /// exits with status 2 and a message when argv holds anything more (a
-/// bench with flags of its own removes them first).
+/// bench with flags of its own removes them first), or when it sets
+/// `--batch` and the bench does not sweep batch depths.
 HarnessOptions extract_harness_flags(const std::string& bench, int argc,
-                                     char** argv);
+                                     char** argv, bool sweeps_batches = false);
 
 /// Exits with status 2 and a message when `opts` sets a flag (spelled as
 /// on the command line, e.g. "--trace-out") that is not in `honoured`:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "trace/hot.hpp"
 #include "trace/trace.hpp"
 
 namespace dcs::cache {
@@ -68,6 +69,11 @@ std::size_t CoopCacheService::aggregate_capacity() const {
 std::size_t CoopCacheService::cached_bytes(NodeId node) const {
   const auto it = stores_.find(node);
   return it != stores_.end() ? it->second->bytes_used() : 0;
+}
+
+LruStore::Body CoopCacheService::cached_body(NodeId node, DocId id) const {
+  const auto it = stores_.find(node);
+  return it != stores_.end() ? it->second->peek(id) : nullptr;
 }
 
 std::string CoopCacheService::audit() const {
@@ -175,30 +181,28 @@ sim::Task<void> CoopCacheService::dir_remove(NodeId from, DocId id,
 
 // --- data movement ---
 
-sim::Task<std::optional<std::vector<std::byte>>> CoopCacheService::remote_fetch(
-    NodeId proxy, NodeId holder, DocId id) {
+sim::Task<LruStore::Body> CoopCacheService::remote_fetch(NodeId proxy,
+                                                         NodeId holder,
+                                                         DocId id) {
   // Control handshake (locate the buffer) + RDMA read of the body.  The
   // holder's CPU stays out of the data path.
-  auto& store = store_of(holder);
-  const auto* body = store.get(id);
-  if (body == nullptr) co_return std::nullopt;  // raced with eviction
+  const LruStore::Body body = store_of(holder).get(id);
+  if (body == nullptr) co_return nullptr;  // raced with eviction
   try {
     co_await net_.hca(proxy).raw_read(holder, body->size() + kDirEntryBytes);
   } catch (const verbs::RemoteTimeoutError&) {
     // Holder is down: its cached copies are gone; repair the soft state so
     // later lookups stop pointing at it.
     drop_node_cache(holder);
-    co_return std::nullopt;
+    co_return nullptr;
   }
-  // Re-check: the body pointer may have been invalidated while the read was
-  // in flight (another proxy inserting into the holder's LRU).
-  const auto* fresh = store_of(holder).get(id);
-  if (fresh == nullptr) co_return std::nullopt;
-  co_return *fresh;
+  // Re-check: the holder may have evicted the copy while the read was in
+  // flight (another proxy inserting into the holder's LRU).
+  co_return store_of(holder).get(id);
 }
 
 sim::Task<void> CoopCacheService::insert_with_directory(
-    NodeId actor, NodeId node, DocId id, std::vector<std::byte> body) {
+    NodeId actor, NodeId node, DocId id, LruStore::Body body) {
   std::vector<DocId> evicted;
   store_of(node).insert(id, std::move(body),
                         [&evicted](DocId victim) { evicted.push_back(victim); });
@@ -218,9 +222,10 @@ sim::Task<void> CoopCacheService::insert_with_directory(
 sim::Task<std::vector<std::byte>> CoopCacheService::serve(NodeId proxy,
                                                           DocId id) {
   DCS_TRACE_SPAN("cache", "serve", proxy, id, to_string(scheme_));
+  DCS_HOT("cache.doc", id, 1);
   const SimNanos t0 = net_.fabric().engine().now();
   co_await net_.fabric().node(proxy).execute(config_.local_lookup_cpu);
-  std::vector<std::byte> result;
+  LruStore::Body result;
   switch (scheme_) {
     case Scheme::kAC:
       result = co_await serve_ac(proxy, id);
@@ -241,70 +246,73 @@ sim::Task<std::vector<std::byte>> CoopCacheService::serve(NodeId proxy,
       break;
   }
   metrics().serve_latency.record_ns(net_.fabric().engine().now() - t0);
-  co_return result;
+  co_return *result;  // the DocHandler's owned copy
 }
 
-sim::Task<std::vector<std::byte>> CoopCacheService::serve_ac(NodeId proxy,
-                                                             DocId id) {
-  if (const auto* body = store_of(proxy).get(id)) {
-    ++stats_.local_hits;
-    metrics().local_hits.add();
-    co_return *body;
-  }
+sim::Task<LruStore::Body> CoopCacheService::fetch_miss(NodeId proxy,
+                                                       DocId id) {
   ++stats_.misses;
   metrics().misses.add();
-  auto body = co_await backend_.fetch(proxy, id);
+  co_return std::make_shared<const std::vector<std::byte>>(
+      co_await backend_.fetch(proxy, id));
+}
+
+sim::Task<LruStore::Body> CoopCacheService::serve_ac(NodeId proxy,
+                                                     DocId id) {
+  if (auto body = store_of(proxy).get(id)) {
+    ++stats_.local_hits;
+    metrics().local_hits.add();
+    co_return body;
+  }
+  auto body = co_await fetch_miss(proxy, id);
   store_of(proxy).insert(id, body, [](DocId) {});
   co_return body;
 }
 
-sim::Task<std::vector<std::byte>> CoopCacheService::serve_bcc(NodeId proxy,
-                                                              DocId id) {
-  if (const auto* body = store_of(proxy).get(id)) {
+sim::Task<LruStore::Body> CoopCacheService::serve_bcc(NodeId proxy,
+                                                      DocId id) {
+  if (auto body = store_of(proxy).get(id)) {
     ++stats_.local_hits;
     metrics().local_hits.add();
-    co_return *body;
+    co_return body;
   }
   const auto holders = co_await dir_lookup(proxy, id);
   for (const NodeId holder : holders) {
     if (holder == proxy) continue;
     auto body = co_await remote_fetch(proxy, holder, id);
-    if (body.has_value()) {
+    if (body != nullptr) {
       ++stats_.remote_hits;
       metrics().remote_hits.add();
-      // Duplicate locally for future requests (BCC's defining behaviour).
-      co_await insert_with_directory(proxy, proxy, id, *body);
-      co_return std::move(*body);
+      // Duplicate locally for future requests (BCC's defining behaviour);
+      // the duplicate shares the holder's host buffer.
+      co_await insert_with_directory(proxy, proxy, id, body);
+      co_return body;
     }
   }
-  ++stats_.misses;
-  metrics().misses.add();
-  auto body = co_await backend_.fetch(proxy, id);
+  auto body = co_await fetch_miss(proxy, id);
   co_await insert_with_directory(proxy, proxy, id, body);
   co_return body;
 }
 
-sim::Task<std::vector<std::byte>> CoopCacheService::serve_ccwr(NodeId proxy,
-                                                               DocId id) {
+sim::Task<LruStore::Body> CoopCacheService::serve_ccwr(NodeId proxy,
+                                                       DocId id) {
   // Single cluster-wide copy on the hash-designated node.
   const NodeId designated = directory_home(id);
   if (designated == proxy) {
-    if (const auto* body = store_of(proxy).get(id)) {
+    if (auto body = store_of(proxy).get(id)) {
       ++stats_.local_hits;
       metrics().local_hits.add();
-      co_return *body;
+      co_return body;
     }
   } else {
     auto body = co_await remote_fetch(proxy, designated, id);
-    if (body.has_value()) {
+    if (body != nullptr) {
       ++stats_.remote_hits;
       metrics().remote_hits.add();
-      co_return std::move(*body);  // no local duplicate
+      co_return body;  // no local duplicate
     }
   }
-  ++stats_.misses;
-  metrics().misses.add();
-  auto body = co_await backend_.fetch(proxy, id);
+  auto body = co_await fetch_miss(proxy, id);
   if (designated == proxy) {
     co_await insert_with_directory(proxy, proxy, id, body);
   } else {
@@ -312,7 +320,7 @@ sim::Task<std::vector<std::byte>> CoopCacheService::serve_ccwr(NodeId proxy,
     // is down, serve without caching; the copy lands once it recovers.
     try {
       co_await net_.hca(proxy).raw_write(designated,
-                                         body.size() + kDirEntryBytes);
+                                         body->size() + kDirEntryBytes);
       co_await insert_with_directory(proxy, designated, id, body);
     } catch (const verbs::RemoteTimeoutError&) {
     }

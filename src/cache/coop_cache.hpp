@@ -82,6 +82,9 @@ class CoopCacheService {
   /// Bytes currently cached on `node` (the value lost if it is repurposed
   /// — feeds cache-aware reconfiguration).
   std::size_t cached_bytes(NodeId node) const;
+  /// The copy of `id` cached on `node` (nullptr if none), leaving the LRU
+  /// order as it is.  Copies of one document may share a host buffer.
+  LruStore::Body cached_body(NodeId node, DocId id) const;
 
   /// Consistency self-check: every directory entry names nodes that really
   /// hold the document, every cached document is in the directory, and the
@@ -106,20 +109,25 @@ class CoopCacheService {
   sim::Task<void> dir_add(NodeId from, DocId id, NodeId holder);
   sim::Task<void> dir_remove(NodeId from, DocId id, NodeId holder);
 
-  /// Pulls a cached body from `holder` via RDMA read; nullopt if the copy
-  /// vanished (evicted) between the directory check and the read.
-  sim::Task<std::optional<std::vector<std::byte>>> remote_fetch(NodeId proxy,
-                                                                NodeId holder,
-                                                                DocId id);
+  /// Pulls a cached body from `holder` via RDMA read and returns the
+  /// holder's handle; nullptr if the copy vanished (evicted) between the
+  /// directory check and the read.
+  sim::Task<LruStore::Body> remote_fetch(NodeId proxy, NodeId holder,
+                                         DocId id);
 
   /// Inserts into `node`'s store, fixing the directory on insert/evict.
   sim::Task<void> insert_with_directory(NodeId actor, NodeId node, DocId id,
-                                        std::vector<std::byte> body);
+                                        LruStore::Body body);
 
-  sim::Task<std::vector<std::byte>> serve_ac(NodeId proxy, DocId id);
-  sim::Task<std::vector<std::byte>> serve_bcc(NodeId proxy, DocId id);
+  /// Backend fetch on a miss, wrapped once into a shareable body.
+  sim::Task<LruStore::Body> fetch_miss(NodeId proxy, DocId id);
+
+  /// The scheme paths return the shared body; serve() makes the one owned
+  /// copy a DocHandler hands back.
+  sim::Task<LruStore::Body> serve_ac(NodeId proxy, DocId id);
+  sim::Task<LruStore::Body> serve_bcc(NodeId proxy, DocId id);
   /// Shared CCWR/MTACC path (they differ only in caching_nodes_).
-  sim::Task<std::vector<std::byte>> serve_ccwr(NodeId proxy, DocId id);
+  sim::Task<LruStore::Body> serve_ccwr(NodeId proxy, DocId id);
 
   verbs::Network& net_;
   datacenter::BackendService& backend_;

@@ -1,5 +1,7 @@
 #include "cache/remote_pager.hpp"
 
+#include "common/pattern.hpp"
+
 namespace dcs::cache {
 
 RemoteBlockCache::RemoteBlockCache(verbs::Network& net, NodeId self,
@@ -17,11 +19,7 @@ RemoteBlockCache::RemoteBlockCache(verbs::Network& net, NodeId self,
 
 std::vector<std::byte> RemoteBlockCache::disk_content(
     std::uint64_t block_id) const {
-  std::vector<std::byte> body(config_.block_bytes);
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    body[i] = static_cast<std::byte>((block_id * 41 + i * 13) & 0xff);
-  }
-  return body;
+  return pattern_bytes(config_.block_bytes, block_id * 41, 13);
 }
 
 sim::Task<std::vector<std::byte>> RemoteBlockCache::disk_read(
@@ -76,7 +74,7 @@ sim::Task<void> RemoteBlockCache::evict_to_remote(
 sim::Task<std::vector<std::byte>> RemoteBlockCache::read_block(
     std::uint64_t block_id) {
   // 1. local page cache
-  if (const auto* body = local_.get(static_cast<DocId>(block_id))) {
+  if (const auto body = local_.get(static_cast<DocId>(block_id))) {
     ++stats_.local_hits;
     co_return *body;
   }

@@ -52,7 +52,8 @@ class RemoteBlockCache {
   const PagerStats& stats() const { return stats_; }
   std::size_t remote_blocks() const { return remote_index_.size(); }
 
-  /// Deterministic on-disk content of a block.
+  /// Deterministic on-disk content of a block: byte i of block b is
+  /// (b * 41 + i * 13) & 0xff.
   std::vector<std::byte> disk_content(std::uint64_t block_id) const;
 
  private:

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/pattern.hpp"
 
 namespace dcs::datacenter {
 
@@ -31,11 +32,7 @@ class DocumentStore {
   /// Deterministic content: byte k of doc d is (d * 131 + k * 7) & 0xff.
   std::vector<std::byte> content(DocId id) const {
     DCS_CHECK(id < config_.num_docs);
-    std::vector<std::byte> bytes(config_.doc_bytes);
-    for (std::size_t k = 0; k < bytes.size(); ++k) {
-      bytes[k] = static_cast<std::byte>((id * 131u + k * 7u) & 0xffu);
-    }
-    return bytes;
+    return pattern_bytes(config_.doc_bytes, id * 131u, 7);
   }
 
   /// Cheap integrity check used by tests and clients.

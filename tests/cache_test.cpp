@@ -55,6 +55,30 @@ TEST(LruStoreTest, EraseFreesSpace) {
   EXPECT_EQ(lru.bytes_used(), 0u);
 }
 
+TEST(LruStoreTest, SharedBodyCountsInEachStoreAndSurvivesEviction) {
+  LruStore a(1000);
+  LruStore b(1000);
+  const LruStore::Body body =
+      std::make_shared<const std::vector<std::byte>>(100, std::byte{42});
+  a.insert(1, body, [](DocId) {});
+  b.insert(1, body, [](DocId) {});
+  EXPECT_EQ(a.bytes_used(), 100u);
+  EXPECT_EQ(b.bytes_used(), 100u);
+  EXPECT_EQ(a.get(1), b.get(1)) << "one host buffer behind both copies";
+  // Filling `a` evicts its copy; `b`'s copy is untouched.
+  std::vector<DocId> evicted;
+  a.insert(2, std::vector<std::byte>(1000),
+           [&evicted](DocId id) { evicted.push_back(id); });
+  EXPECT_EQ(evicted, (std::vector<DocId>{1}));
+  EXPECT_FALSE(a.contains(1));
+  EXPECT_EQ(a.bytes_used(), 1000u);
+  const LruStore::Body kept = b.get(1);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept, body);
+  EXPECT_EQ(*kept, std::vector<std::byte>(100, std::byte{42}));
+  EXPECT_EQ(b.bytes_used(), 100u);
+}
+
 // --- cooperative caching world ---
 
 struct CacheWorld {
@@ -118,6 +142,24 @@ TEST(CoopCacheTest, BccSiblingProxyGetsRemoteHit) {
   // BCC duplicates: the second proxy now hits locally.
   (void)w.request(2, 5);
   EXPECT_EQ(w.cache.stats().local_hits, 1u);
+}
+
+TEST(CoopCacheTest, BccRemoteHitSharesTheHoldersBuffer) {
+  CacheWorld w(Scheme::kBCC, 16384, 20, 1u << 20);
+  (void)w.request(1, 5);
+  const auto body = w.request(2, 5);
+  ASSERT_EQ(w.cache.stats().remote_hits, 1u);
+  const LruStore::Body holder = w.cache.cached_body(1, 5);
+  const LruStore::Body duplicate = w.cache.cached_body(2, 5);
+  ASSERT_NE(holder, nullptr);
+  EXPECT_EQ(holder, duplicate) << "BCC duplicate shares one host buffer";
+  // The simulation still sees two copies.
+  EXPECT_EQ(w.cache.cached_bytes(1), 16384u);
+  EXPECT_EQ(w.cache.cached_bytes(2), 16384u);
+  EXPECT_EQ(w.cache.audit(), "");
+  EXPECT_TRUE(w.store.verify(5, body));
+  EXPECT_EQ(body, *holder);
+  EXPECT_NE(body.data(), holder->data()) << "serve returns an owned copy";
 }
 
 TEST(CoopCacheTest, RemoteHitFasterThanBackendMiss) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/pattern.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -13,6 +14,26 @@
 
 namespace dcs {
 namespace {
+
+// --- pattern_bytes ---
+
+TEST(PatternBytesTest, MatchesPerByteFormula) {
+  for (const std::uint64_t base :
+       {std::uint64_t{0}, std::uint64_t{131}, std::uint64_t{0xFFFFFFFFu} * 131,
+        ~std::uint64_t{0}}) {
+    for (const std::uint64_t step : {0u, 1u, 7u, 13u, 255u}) {
+      for (const std::size_t n : {1u, 255u, 256u, 257u, 16384u, 16385u}) {
+        const auto bytes = pattern_bytes(n, base, step);
+        ASSERT_EQ(bytes.size(), n);
+        for (std::size_t k = 0; k < n; ++k) {
+          ASSERT_EQ(bytes[k], static_cast<std::byte>((base + k * step) & 0xffu))
+              << "base " << base << " step " << step << " n " << n << " k "
+              << k;
+        }
+      }
+    }
+  }
+}
 
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(42), b(42);

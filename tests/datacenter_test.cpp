@@ -20,6 +20,25 @@ TEST(DocumentStoreTest, ContentDeterministicAndVerifiable) {
   EXPECT_FALSE(store.verify(4, a));
 }
 
+TEST(DocumentStoreTest, ContentMatchesPerByteFormula) {
+  for (const std::size_t n : {1u, 255u, 256u, 257u, 16384u, 16385u}) {
+    // 2^32 documents, so every 32-bit id is valid (no corpus is stored).
+    const DocumentStore store({.num_docs = std::size_t{1} << 32,
+                               .doc_bytes = n});
+    for (const DocId id : {DocId{0}, DocId{1}, DocId{0xFFFFFFFEu},
+                           DocId{0xFFFFFFFFu}}) {
+      const auto bytes = store.content(id);
+      ASSERT_EQ(bytes.size(), n);
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(bytes[k],
+                  static_cast<std::byte>((id * 131u + k * 7u) & 0xffu))
+            << "doc " << id << " n " << n << " k " << k;
+      }
+      EXPECT_TRUE(store.verify(id, bytes));
+    }
+  }
+}
+
 TEST(DocumentStoreTest, CorruptionDetected) {
   DocumentStore store({.num_docs = 4, .doc_bytes = 256});
   auto body = store.content(1);

@@ -10,6 +10,7 @@ Usage: python3 tests/dcs_grid_test.py build/tools/dcs
 (registered in tests/CMakeLists.txt as dcs_grid_test).
 """
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -140,6 +141,17 @@ class DcsGridTest(unittest.TestCase):
                     self.assertTrue(pathlib.Path(path).stat().st_size > 0)
             metrics = pathlib.Path(outs["--metrics-out"]).read_text()
             self.assertTrue(metrics.startswith("== scenario run ==\n"))
+
+    def test_cache_reports_its_hot_documents(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            hotset = pathlib.Path(tmp) / "hot.json"
+            proc = run("cache", "--requests", "40", "--hotset-out",
+                       str(hotset), "--hot-keys", "3")
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            self.assertIn("cache.doc", proc.stdout)
+            doc = json.loads(hotset.read_text())
+            domains = [d["domain"] for d in doc["domains"]]
+            self.assertIn("cache.doc", domains)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,22 @@ struct PagerFixture : ::testing::Test {
   }
 };
 
+TEST_F(PagerFixture, DiskContentMatchesPerByteFormula) {
+  for (const std::size_t n : {1u, 255u, 256u, 257u, 16384u, 16385u}) {
+    const RemoteBlockCache cache(net, 0, {1, 2}, {.block_bytes = n});
+    for (const std::uint64_t block :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0xFFFFFFFEu},
+          std::uint64_t{0xFFFFFFFFu}}) {
+      const auto bytes = cache.disk_content(block);
+      ASSERT_EQ(bytes.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bytes[i], static_cast<std::byte>((block * 41 + i * 13) & 0xff))
+            << "block " << block << " n " << n << " i " << i;
+      }
+    }
+  }
+}
+
 TEST_F(PagerFixture, FirstReadComesFromDisk) {
   RemoteBlockCache cache(net, 0, {1, 2});
   const auto body = read_one(cache, 7);

@@ -245,10 +245,21 @@ TEST(ObserveFlagsTest, BenchCommandLineAcceptsObservedAndHarnessRuns) {
   EXPECT_EQ(observe_opts.trace_out, "t.json");
   EXPECT_EQ(observe_opts.postmortem_dir, "pm");
   Argv harness({"--bench-json", "b.json", "--batch", "4"});
-  const auto harness_opts =
-      bench::extract_harness_flags("unit", harness.argc, harness.ptrs.data());
+  const auto harness_opts = bench::extract_harness_flags(
+      "unit", harness.argc, harness.ptrs.data(), /*sweeps_batches=*/true);
   EXPECT_EQ(harness_opts.bench_json, "b.json");
   EXPECT_EQ(harness_opts.batch, 4u);
+}
+
+TEST(ObserveFlagsTest, BenchCommandLineRejectsBatchUnlessItSweepsBatches) {
+  Argv a({"--bench-json", "b.json", "--batch", "4"});
+  EXPECT_EXIT(bench::extract_harness_flags("unit", a.argc, a.ptrs.data()),
+              ::testing::ExitedWithCode(2),
+              "bench_unit: --batch is not supported here");
+  Argv none({"--bench-json", "b.json"});
+  EXPECT_EQ(bench::extract_harness_flags("unit", none.argc, none.ptrs.data())
+                .batch,
+            0u);
 }
 
 TEST(ObserveFlagsTest, HonourOnlyRejectsFlagsABinaryDoesNotWrite) {
