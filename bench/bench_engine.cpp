@@ -5,8 +5,11 @@
 // hard ceiling on end-to-end experiment throughput.  This bench drives the
 // scheduler's distinct hot paths in isolation:
 //
-//   timer_churn     future-dated delays across the calendar wheel and the
-//                   far-future overflow heap (64 tasks x 2000 random delays);
+//   timer_churn     future-dated delays through the timer heap: 64 tasks x
+//                   2000 random delays (the shallow queues every shipped
+//                   workload keeps), and 4096 tasks x 100 delays, a queue
+//                   deep enough that the 4-ary heap's log-depth sifts show
+//                   (docs/ARCHITECTURE.md, "Engine internals");
 //   channel_pingpong the same-time ready path: two coroutines bouncing a
 //                   token through two channels (schedule_now per hop);
 //   spawn_join_storm coroutine-frame allocation churn: batches of short
@@ -37,8 +40,8 @@ void timer_churn(Engine& eng, int tasks, int steps) {
     eng.spawn([](Engine& e, int self, int n) -> Task<void> {
       Rng rng(0x7157c000ULL + static_cast<std::uint64_t>(self));
       for (int i = 0; i < n; ++i) {
-        // 1 ns .. 10 ms: most delays land in the calendar wheel, the long
-        // tail exercises the overflow heap and wheel re-basing.
+        // 1 ns .. 10 ms: every pending timer sits in the heap, so the
+        // queue depth is the task count.
         co_await e.delay(rng.uniform(1, 10'000'000));
       }
     }(eng, id, steps));
@@ -116,6 +119,7 @@ int main(int argc, char** argv) {
   bench::Harness h("engine", opts);
   const std::pair<const char*, void (*)(Engine&)> kScenarios[] = {
       {"timer_churn/64x2000", [](Engine& e) { timer_churn(e, 64, 2000); }},
+      {"timer_churn/4096x100", [](Engine& e) { timer_churn(e, 4096, 100); }},
       {"channel_pingpong/200k",
        [](Engine& e) { channel_pingpong(e, 200'000); }},
       {"spawn_join_storm/4000x16",

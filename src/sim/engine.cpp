@@ -4,19 +4,6 @@
 
 namespace dcs::sim {
 
-namespace {
-
-/// Min-heap comparator over (time, seq): used for wheel buckets and the
-/// overflow heap via std::push_heap/pop_heap.
-struct TimerLater {
-  template <typename E>
-  bool operator()(const E& a, const E& b) const {
-    return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-  }
-};
-
-}  // namespace
-
 Engine::~Engine() {
   reap_finished();
   // Destroy any still-live root frames; child frames are owned by parents and
@@ -39,97 +26,49 @@ void Engine::ring_grow() {
   ring_head_ = 0;
 }
 
-void Engine::timer_push(TimerEntry e) {
-  ++timer_count_;
-  if (e.t < next_timer_) next_timer_ = e.t;
-  std::uint64_t slot = (e.t >> kBucketBits) - wheel_base_;
-  if (slot >= kBuckets) {
-    // Out of window.  If the wheel is empty nothing pins the base, so slide
-    // the window up to the current time first; the entry (and any overflow
-    // now in range) may then land in a bucket.
-    if (wheel_count_ == 0) {
-      rebase_wheel();
-      slot = (e.t >> kBucketBits) - wheel_base_;
-    }
-    if (slot >= kBuckets) {
-      overflow_.push_back(e);
-      std::push_heap(overflow_.begin(), overflow_.end(), TimerLater{});
-      return;
-    }
-  }
-  auto& bucket = wheel_[slot];
-  bucket.push_back(e);
-  std::push_heap(bucket.begin(), bucket.end(), TimerLater{});
-  wheel_bits_[slot >> 6] |= 1ULL << (slot & 63);
-  ++wheel_count_;
+void Engine::timer_push(const TimerEntry& e) {
+  timers_.emplace_back();
+  sift_up(timers_.size() - 1, e);
 }
 
-void Engine::rebase_wheel() {
-  wheel_base_ = now_ >> kBucketBits;
-  // Migrate overflow entries that the new window covers.  This keeps the
-  // invariant that every overflow deadline lies beyond every wheel deadline,
-  // so the pop path never has to compare the two.
-  std::size_t kept = 0;
-  for (TimerEntry& e : overflow_) {
-    const std::uint64_t slot = (e.t >> kBucketBits) - wheel_base_;
-    if (slot < kBuckets) {
-      auto& bucket = wheel_[slot];
-      bucket.push_back(e);
-      std::push_heap(bucket.begin(), bucket.end(), TimerLater{});
-      wheel_bits_[slot >> 6] |= 1ULL << (slot & 63);
-      ++wheel_count_;
-    } else {
-      overflow_[kept++] = e;
-    }
+void Engine::sift_up(std::size_t hole, TimerEntry e) {
+  // Move parents down into the hole until `e` fits, then write `e` once.
+  while (hole != 0) {
+    const std::size_t parent = (hole - 1) / 4;
+    if (!TimerEntry::earlier(e, timers_[parent])) break;
+    timers_[hole] = timers_[parent];
+    hole = parent;
   }
-  if (kept != overflow_.size()) {
-    overflow_.resize(kept);
-    std::make_heap(overflow_.begin(), overflow_.end(), TimerLater{});
-  }
-}
-
-std::size_t Engine::first_occupied_from(std::size_t slot) const {
-  // The caller guarantees an occupied bucket at `slot` or beyond exists, so
-  // the scan terminates.
-  std::size_t word = slot >> 6;
-  std::uint64_t bits = wheel_bits_[word] & (~0ULL << (slot & 63));
-  while (bits == 0) bits = wheel_bits_[++word];
-  return (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+  timers_[hole] = e;
 }
 
 Engine::TimerEntry Engine::timer_pop() {
-  --timer_count_;
-  TimerEntry out;
-  if (wheel_count_ != 0) {
-    // Every wheel deadline is >= now_ and this scan found the first occupied
-    // bucket, so that bucket holds the global minimum (bucket time ranges
-    // are disjoint and ordered, and the overflow invariant puts every
-    // overflow deadline after every wheel deadline).
-    const std::uint64_t now_bucket = now_ >> kBucketBits;
-    const std::size_t slot = first_occupied_from(
-        now_bucket > wheel_base_ ? now_bucket - wheel_base_ : 0);
-    auto& bucket = wheel_[slot];
-    std::pop_heap(bucket.begin(), bucket.end(), TimerLater{});
-    out = bucket.back();
-    bucket.pop_back();
-    --wheel_count_;
-    if (!bucket.empty()) {
-      next_timer_ = bucket.front().t;
-      return out;
+  const TimerEntry out = timers_.front();
+  // Walk the hole from the root to a leaf along the earliest children, then
+  // sift the old last entry up from there.  It came from the bottom, so it
+  // rarely climbs, and the walk's trip count depends on the size alone.
+  const std::size_t n = timers_.size() - 1;
+  std::size_t hole = 0;
+  for (std::size_t first = 1; first < n; first = 4 * hole + 1) {
+    std::size_t best = first;
+    if (first + 4 <= n) {
+      // All four children: two independent pairwise picks, then the final
+      // one, as index arithmetic (the outcomes are coin flips to a branch
+      // predictor).
+      const TimerEntry* c = &timers_[first];
+      const std::size_t a = first + TimerEntry::earlier(c[1], c[0]);
+      const std::size_t b = first + 2 + TimerEntry::earlier(c[3], c[2]);
+      best = TimerEntry::earlier(timers_[b], timers_[a]) ? b : a;
+    } else {
+      for (std::size_t c = first + 1; c < n; ++c) {
+        best = TimerEntry::earlier(timers_[c], timers_[best]) ? c : best;
+      }
     }
-    wheel_bits_[slot >> 6] &= ~(1ULL << (slot & 63));
-    if (wheel_count_ != 0) {
-      // Resume the bitmap scan where this one left off rather than
-      // restarting from now_'s bucket.
-      next_timer_ = wheel_[first_occupied_from(slot + 1)].front().t;
-      return out;
-    }
-  } else {
-    std::pop_heap(overflow_.begin(), overflow_.end(), TimerLater{});
-    out = overflow_.back();
-    overflow_.pop_back();
+    timers_[hole] = timers_[best];
+    hole = best;
   }
-  next_timer_ = overflow_.empty() ? kNever : overflow_.front().t;
+  sift_up(hole, timers_[n]);
+  timers_.pop_back();
   return out;
 }
 
@@ -192,7 +131,7 @@ void Engine::run_until(Time t) {
     while (!stopped_) {
       std::coroutine_handle<> h;
       std::uint64_t seq;
-      if (timer_count_ != 0 && next_timer_ <= now_) {
+      if (!timers_.empty() && timers_.front().t <= now_) {
         // Timers that have come due at the current time run before the ready
         // ring: their seqs predate every same-time ring entry (see header).
         const TimerEntry e = timer_pop();
@@ -206,8 +145,8 @@ void Engine::run_until(Time t) {
         h = e.h;
         seq = e.seq;
         strand_ctx() = e.ctx;
-      } else if (timer_count_ != 0) {
-        if (next_timer_ > t) break;
+      } else if (!timers_.empty()) {
+        if (timers_.front().t > t) break;
         const TimerEntry e = timer_pop();
         // Ready ring empty and the next timer far away: the clock is about
         // to leap.  Only this rare time-advancing branch pays the check, so
@@ -236,7 +175,7 @@ void Engine::run_until(Time t) {
   // alive is deadlocked: the parked strands can never be woken again.
   // Bounded runs exit with parked roots routinely, so only t == forever
   // counts.
-  if (stall != nullptr && !stopped_ && t == kNever && root_count_ > 0) {
+  if (stall != nullptr && !stopped_ && t == kForever && root_count_ > 0) {
     stall->on_wedged(root_count_);
   }
   // Virtual time passes up to the bound even if no event lands exactly on it

@@ -12,13 +12,11 @@
 //                spawns).  A plain FIFO ring buffer: same-time dispatch order
 //                is insertion order, so no comparisons at all on the
 //                schedule_now fast path.
-//   calendar     future timers within ~4 ms of now, bucketed by bits 12+ of
-//   wheel        their deadline (1024 buckets x 4096 ns).  Buckets hold a
-//                few unsorted entries each; popping min-scans the first
-//                occupied bucket, found via a 1024-bit occupancy bitmap.
-//   overflow     far-future timers beyond the wheel window, in one (time,
-//   heap         seq) min-heap.  When the wheel drains, the window re-bases
-//                at the current time and in-window overflow entries migrate.
+//   timer heap   every future timer, in one array-backed 4-ary min-heap on
+//                (time, seq).  Measured workloads keep tens to a few hundred
+//                timers pending, where one shallow heap over a contiguous
+//                array is cheaper than bucketing by deadline (the depths,
+//                and where that stops holding, are in the same section).
 //
 // Ordering invariant: dispatch order is lexicographic (time, seq) with seq
 // assigned at schedule time.  The split preserves it without a global
@@ -27,13 +25,17 @@
 // enqueued at T; draining same-time timers before the ring is exactly
 // (time, seq) order.
 //
+// The heap is not stable, so it is deterministic only because (time, seq)
+// keys are unique per engine: counter seqs never repeat, and the one fixed
+// seq, kCrossSeq, is scheduled at most once per distinct time (the sharded
+// runner wakes its pump once per distinct delivery time, sim/shard.cpp).
+// Equal keys would pop in an order that depends on the heap's history.
+//
 // The per-dispatch instrumentation cost is one cached pointer test: the
 // audit/trace hook is sampled once per run_until call, so hooks must be
 // (un)installed only while the loop is not running.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <vector>
@@ -68,7 +70,9 @@ class Engine {
   /// the conservative-PDES safe horizon derives from.
   Time next_event_time() const {
     if (ring_size_ != 0) return now_;
-    if (timer_count_ != 0) return next_timer_ > now_ ? next_timer_ : now_;
+    if (!timers_.empty()) {
+      return timers_.front().t > now_ ? timers_.front().t : now_;
+    }
     return kForever;
   }
 
@@ -90,17 +94,21 @@ class Engine {
   }
 
   /// Sequence number of every cross-shard wake: a fixed value in a band
-  /// above anything the counter assigns, so same-time counter entries
+  /// above anything the counter assigns, so same-time counter timers
   /// dispatch first and the (time, seq) fingerprint contribution of a
-  /// cross delivery is a pure function of its delivery time.
+  /// cross delivery is a pure function of its delivery time.  A cross
+  /// wake is a timer, so it still runs before ready-ring work enqueued at
+  /// its own time, whose seqs are smaller: with cross wakes the dispatch
+  /// stream is (time, timers-before-ring, seq) order, not (time, seq).
   static constexpr std::uint64_t kCrossSeq = std::uint64_t{1} << 62;
 
   /// Schedules a cross-shard delivery wake (sim/shard.hpp) at strictly
   /// future time `t` WITHOUT consuming a sequence number.  The runner calls
   /// this at window start, a point that moves with worker count and
   /// run_until chop points; drawing from seq_ here would make fingerprints
-  /// depend on both.  At most one wake per (strand, time) — the fixed seq
-  /// never has to break a tie against another cross entry.
+  /// depend on both.  At most one cross wake per distinct time — the fixed
+  /// seq never has to break a tie against another cross entry (the timer
+  /// heap relies on unique keys, see the header comment).
   void schedule_cross(std::coroutine_handle<> h, Time t) {
     DCS_CHECK_MSG(t > now_, "cross wake must be strictly in the future");
     timer_push(TimerEntry{t, kCrossSeq, h, strand_ctx()});
@@ -134,9 +142,7 @@ class Engine {
   // Dispatch-structure occupancy, exposed for post-mortem engine-state
   // snapshots (src/trace/flight).  All O(1).
   std::size_t ready_ring_size() const { return ring_size_; }
-  std::size_t wheel_timer_count() const { return wheel_count_; }
-  std::size_t overflow_timer_count() const { return overflow_.size(); }
-  std::size_t pending_timer_count() const { return timer_count_; }
+  std::size_t pending_timer_count() const { return timers_.size(); }
 
   /// Awaitable: suspend for `d` nanoseconds of virtual time.
   auto delay(Time d) {
@@ -170,11 +176,6 @@ class Engine {
   void on_child_error(std::exception_ptr error);
 
  private:
-  // The wheel covers kBuckets * 2^kBucketBits ns (~4.2 ms) from its base.
-  static constexpr std::size_t kBucketBits = 12;
-  static constexpr std::size_t kBuckets = 1024;
-  static constexpr Time kNever = kForever;
-
   // Entries snapshot the scheduling strand's trace context.  The engine
   // installs it before the resume so spawned roots and woken waiters start
   // with a follows-from link; awaiters that saved their own context in
@@ -189,6 +190,14 @@ class Engine {
     std::uint64_t seq;
     std::coroutine_handle<> h;
     StrandCtx ctx;
+    /// Heap order over (t, seq); keys are unique, so this is a total order.
+    /// One 128-bit compare rather than a short-circuit pair: sift outcomes
+    /// are coin flips, and this form compiles to flag arithmetic instead of
+    /// a branch (timer_pop turns it into child indices).
+    static bool earlier(const TimerEntry& a, const TimerEntry& b) {
+      __extension__ using Key = unsigned __int128;
+      return ((Key{a.t} << 64) | a.seq) < ((Key{b.t} << 64) | b.seq);
+    }
   };
 
   void ring_push(std::coroutine_handle<> h, std::uint64_t seq) {
@@ -199,10 +208,9 @@ class Engine {
   }
   void ring_grow();
 
-  void timer_push(TimerEntry e);
+  void timer_push(const TimerEntry& e);
+  void sift_up(std::size_t hole, TimerEntry e);
   TimerEntry timer_pop();
-  void rebase_wheel();
-  std::size_t first_occupied_from(std::size_t slot) const;
 
   void reap_finished();
 
@@ -211,16 +219,8 @@ class Engine {
   std::size_t ring_head_ = 0;
   std::size_t ring_size_ = 0;
 
-  // Calendar wheel + overflow heap.  `wheel_base_` is the absolute bucket
-  // number (time >> kBucketBits) slot 0 maps to; the window never rotates,
-  // it re-bases when the wheel is empty.
-  std::array<std::vector<TimerEntry>, kBuckets> wheel_;
-  std::uint64_t wheel_bits_[kBuckets / 64] = {};
-  std::uint64_t wheel_base_ = 0;
-  std::size_t wheel_count_ = 0;
-  std::vector<TimerEntry> overflow_;
-  std::size_t timer_count_ = 0;  // wheel_count_ + overflow_.size()
-  Time next_timer_ = kNever;     // min pending timer deadline (valid iff any)
+  // Future timers: 4-ary min-heap on (t, seq), children of i at 4i+1..4i+4.
+  std::vector<TimerEntry> timers_;
 
   // Live spawned roots: intrusive doubly-linked list through PromiseBase.
   detail::PromiseBase* roots_head_ = nullptr;

@@ -5,7 +5,7 @@
 // runner scales that model across cores WITHOUT giving the anchor up:
 //
 //   partition    a fixed slice of the simulated world (its own Engine,
-//                strands, calendar wheel, frame slab, trace registry).  The
+//                strands, timer heap, frame slab, trace registry).  The
 //                partition count is part of the workload topology and never
 //                changes with the machine: partition p always holds the same
 //                nodes and always produces the same per-partition dispatch

@@ -3,6 +3,7 @@
 // violation), byte-identical same-seed dumps, and the `dcs inspect`
 // offline queries over the dumps they produce.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -240,13 +241,39 @@ TEST(FlightWatchdogTest, DeadlineTripCapturesTheStuckRequest) {
   fr.uninstall();
 }
 
+TEST(FlightPostmortemTest, EngineTimersMatchThePendingCount) {
+  Registry::global().reset();
+  WedgeWorld w;
+  FlightRecorder fr(w.eng, {.ring_capacity = 128});
+  fr.install();
+  w.spawn_cascade();
+  // The two waiters still sleep (10 us per node id), so timers are pending.
+  w.eng.run_until(microseconds(5));
+  ASSERT_GT(w.eng.pending_timer_count(), 0u);
+  std::ostringstream os;
+  fr.write_postmortem(os, "test", "");
+  fr.uninstall();
+  const inspect::Json doc = inspect::parse_json(os.str());
+  const inspect::Json* engine = doc.find("engine");
+  ASSERT_NE(engine, nullptr);
+  ASSERT_NE(engine->find("timers"), nullptr);
+  EXPECT_EQ(engine->find("timers")->u64_or(~0ULL),
+            w.eng.pending_timer_count());
+}
+
 // --- dcs inspect over a real dump file ---
 
 struct InspectFixture : ::testing::Test {
-  std::string dir = ::testing::TempDir();
+  // One directory per test: ctest runs each TEST_F as its own process, in
+  // parallel, so a shared dump path would be rewritten under a reader.
+  std::string dir;
   std::string dump_path;
 
   void SetUp() override {
+    dir = ::testing::TempDir() + "flight_test." +
+          ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(std::filesystem::create_directories(dir));
     Registry::global().reset();
     WedgeWorld w;
     FlightRecorder fr(w.eng,
@@ -259,6 +286,8 @@ struct InspectFixture : ::testing::Test {
     dump_path = fr.dump_paths()[0];
     fr.uninstall();
   }
+
+  void TearDown() override { std::filesystem::remove_all(dir); }
 };
 
 TEST_F(InspectFixture, SelfCheckAcceptsAFreshDump) {

@@ -3,6 +3,10 @@
 // and clock monotonicity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -194,6 +198,138 @@ TEST(SimPropertyTest, ManyEngineLifecyclesAreIndependent) {
   const auto interleaved = run_random_workload(5);
   other.run();
   EXPECT_EQ(isolated, interleaved);
+}
+
+// Timer-queue oracle: thousands of strands drive the ready ring and the
+// timer heap through same-time ties, deep queues and far-future deadlines,
+// plus schedule_cross wakes, and every dispatch must be the minimum of a
+// std::set holding everything scheduled and not yet run.  Seqs are predicted
+// by mirroring the engine's counter: each spawn and each delay consumes one,
+// a cross wake none.  The set orders by (time, tier, seq), tier 0 for timers
+// and 1 for ready-ring entries: due timers run before the ring, which is
+// plain (time, seq) order for counter seqs, and also puts a cross wake
+// (kCrossSeq) ahead of ring work scheduled at its own time.
+struct TimerOracle {
+  struct Key {
+    Time t;
+    int tier;
+    std::uint64_t seq;
+    auto operator<=>(const Key&) const = default;
+  };
+
+  Engine eng;
+  std::set<Key> pending;
+  std::uint64_t next_seq = 0;
+  std::uint64_t dispatched = 0;
+  std::uint64_t mismatches = 0;
+  std::uint64_t same_time_timers = 0;
+  std::size_t max_depth = 0;
+  std::vector<std::coroutine_handle<>> parked;
+
+  Key expect(Time t) {
+    const int tier = t == eng.now() ? 1 : 0;
+    // A future deadline another pending timer already holds: a heap tie
+    // that only the seq breaks.
+    const auto tie = pending.lower_bound({t, 0, 0});
+    if (tier == 0 && tie != pending.end() && tie->t == t && tie->tier == 0) {
+      ++same_time_timers;
+    }
+    const Key k{t, tier, next_seq++};
+    pending.insert(k);
+    max_depth = std::max(max_depth, pending.size());
+    return k;
+  }
+
+  // Called first thing after every resume: the engine's coordinates for
+  // this dispatch must be those of the reference minimum, which must be
+  // the entry the resumed strand scheduled.
+  void dispatch(const Key& want) {
+    const bool ok = !pending.empty() && *pending.begin() == want &&
+                    eng.now() == want.t && eng.last_dispatch_seq() == want.seq;
+    if (!ok) ++mismatches;
+    pending.erase(want);
+    ++dispatched;
+  }
+
+  void wake_parked(Rng& rng, std::set<Time>& cross_times) {
+    for (std::coroutine_handle<> h : parked) {
+      Time t;
+      do {
+        t = eng.now() + rng.uniform(1, 20'000);
+      } while (!cross_times.insert(t).second);
+      pending.insert({t, 0, Engine::kCrossSeq});
+      eng.schedule_cross(h, t);
+    }
+    parked.clear();
+  }
+};
+
+Task<void> oracle_strand(TimerOracle& o, std::uint64_t self, int steps,
+                         TimerOracle::Key start) {
+  o.dispatch(start);
+  Rng rng(0x71e3ULL * (self + 1));
+  for (int i = 0; i < steps; ++i) {
+    if (rng.uniform(16) == 0) {
+      // Park until the chop loop sends a cross wake at a fresh distinct time.
+      struct Park {
+        TimerOracle& o;
+        bool await_ready() const noexcept { return false; }
+        void await_suspend(std::coroutine_handle<> h) {
+          o.parked.push_back(h);
+        }
+        void await_resume() const noexcept {}
+      };
+      co_await Park{o};
+      o.dispatch({o.eng.now(), 0, Engine::kCrossSeq});
+      continue;
+    }
+    // The two long classes are whole milliseconds and seconds, so strands
+    // that have not yet taken a fine-grained step share deadlines: many
+    // same-time timers, ordered by seq alone.
+    Time d = 0;
+    switch (rng.uniform(4)) {
+      case 0: break;
+      case 1: d = rng.uniform(1, 10'000); break;
+      case 2: d = rng.uniform(1, 10) * 1'000'000; break;
+      case 3: d = rng.uniform(1, 10) * 1'000'000'000; break;
+    }
+    const TimerOracle::Key want = o.expect(o.eng.now() + d);
+    co_await o.eng.delay(d);
+    o.dispatch(want);
+  }
+}
+
+TEST(SimPropertyTest, TimerQueueMatchesASortedReference) {
+  constexpr int kStrands = 3000;
+  constexpr int kSteps = 24;
+  TimerOracle o;
+  for (int id = 0; id < kStrands; ++id) {
+    const TimerOracle::Key start = o.expect(0);
+    o.eng.spawn(
+        oracle_strand(o, static_cast<std::uint64_t>(id), kSteps, start));
+  }
+  Rng rng(0xc40bULL);
+  std::set<Time> cross_times;
+  int chops = 0;
+  while (o.eng.live_roots() != 0) {
+    // Chop at a seeded point: sometimes inside a same-time burst's
+    // microseconds, sometimes milliseconds or seconds ahead.
+    const Time horizons[] = {10'000, 5'000'000, 3'000'000'000};
+    o.eng.run_until(o.eng.now() + rng.uniform(0, horizons[rng.uniform(3)]));
+    ++chops;
+    ASSERT_EQ(o.mismatches, 0u) << "after chop " << chops;
+    const Time want =
+        o.pending.empty() ? Engine::kForever : o.pending.begin()->t;
+    ASSERT_EQ(o.eng.next_event_time(), want) << "after chop " << chops;
+    o.wake_parked(rng, cross_times);
+  }
+  EXPECT_TRUE(o.pending.empty());
+  EXPECT_EQ(o.mismatches, 0u);
+  EXPECT_EQ(o.dispatched, std::uint64_t{kStrands} * (kSteps + 1));
+  EXPECT_GT(cross_times.size(), 1000u);
+  EXPECT_GT(o.same_time_timers, 1000u);
+  EXPECT_GE(o.max_depth, 2000u);
+  EXPECT_GT(chops, 100);
 }
 
 }  // namespace
