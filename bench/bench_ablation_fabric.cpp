@@ -190,7 +190,9 @@ void print_a3(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("ablation_fabric", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_ablation_fabric", "Ablations over the fabric cost model",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("ablation_fabric", opts);
   print_a1(h);
   print_a2(h);

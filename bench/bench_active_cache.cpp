@@ -112,7 +112,9 @@ void print_table(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("active_cache", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_active_cache", "E18: active caching of dynamic content",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("active_cache", opts);
   print_table(h);
   return h.finish();

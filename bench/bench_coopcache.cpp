@@ -101,7 +101,9 @@ void print_fig6(bench::Harness& h, std::size_t num_proxies,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("coopcache", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_coopcache", "Figure 6: TPS of the five caching schemes",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("coopcache", opts);
   print_fig6(h, 2,
              "Figure 6a — data-center throughput (TPS), two proxy nodes "

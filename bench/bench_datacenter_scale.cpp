@@ -27,8 +27,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -68,6 +66,8 @@ constexpr std::size_t kValueBytes = 64;  // payload size of every put/get
 constexpr std::uint32_t kNoHotShard = ~0u;
 /// Upper bound of --shards: worker threads of one run.
 constexpr std::uint32_t kMaxShards = 64;
+/// Upper bound of --partitions: one engine and one Fabric slice each.
+constexpr std::uint32_t kMaxPartitions = 4096;
 /// A served request slower than this counts against the slow-serve budget.
 constexpr SimNanos kSlowServeNs = 20000;
 
@@ -380,15 +380,7 @@ std::uint64_t counter_value(const char* name) {
 int run(const ScaleConfig& cfg, const bench::HarnessOptions& opts) {
   using Clock = std::chrono::steady_clock;
   trace::Registry::global().reset();
-  std::vector<obs::SloRule> extra_rules;
-  if (!opts.slo_rules.empty()) {
-    std::string error;
-    extra_rules = obs::parse_slo_rules_file(opts.slo_rules, &error);
-    if (!error.empty()) {
-      std::fprintf(stderr, "datacenter_scale: %s\n", error.c_str());
-      return 2;
-    }
-  }
+  const std::vector<obs::SloRule>& extra_rules = opts.slo_rules;
   std::vector<PartitionDump> slots(cfg.partitions);
   const auto wall_start = Clock::now();
   sim::ShardedEngine sharded({.partitions = cfg.partitions,
@@ -494,20 +486,7 @@ int run(const ScaleConfig& cfg, const bench::HarnessOptions& opts) {
       serves += slot.serves;
     }
     std::printf("  attribution      %" PRIu64 " serve(s) attributed\n", serves);
-    if (opts.hot_keys > 0) {
-      for (const char* domain : {"scale.serve.node", "scale.serve.object"}) {
-        const auto entries = hot.top(domain, opts.hot_keys);
-        std::uint64_t total = 0;
-        for (const auto& e : entries) total += e.count;
-        std::printf("  hot %s (top %zu of %" PRIu64 "):\n", domain,
-                    entries.size(), total);
-        for (const auto& e : entries) {
-          std::printf("    key=%" PRIu64 " count=%" PRIu64 " error=%" PRIu64
-                      "\n",
-                      e.key, e.count, e.error);
-        }
-      }
-    }
+    if (opts.hot_keys > 0) bench::print_hot_keys(hot, opts.hot_keys);
     if (!opts.hotset_out.empty()) {
       rc |= bench::write_file(opts.hotset_out, "hotset", [&](std::ostream& os) {
         obs::write_hotset_json(os, hot);
@@ -561,62 +540,48 @@ int run(const ScaleConfig& cfg, const bench::HarnessOptions& opts) {
 }  // namespace dcs
 
 int main(int argc, char** argv) {
-  auto opts = dcs::bench::extract_harness_flags(argc, argv);
-  dcs::bench::honour_only(
-      "datacenter_scale", opts,
-      {"--bench-wall-json", "--timeseries-out", "--slo", "--postmortem-dir",
-       "--hotset-out", "--exemplars-out", "--hot-keys"});
-  dcs::ScaleConfig cfg;
-  for (int i = 1; i < argc; ++i) {
-    using dcs::bench::parse_flag;
-    const char* a = argv[i];
-    if (!(parse_flag(a, "--nodes", &cfg.nodes) ||
-          parse_flag(a, "--partitions", &cfg.partitions) ||
-          parse_flag(a, "--shards", &cfg.shards) ||
-          parse_flag(a, "--seed", &cfg.seed) ||
-          parse_flag(a, "--clients", &cfg.clients) ||
-          parse_flag(a, "--ops", &cfg.ops) ||
-          parse_flag(a, "--hot-shard", &cfg.hot_shard) ||
-          parse_flag(a, "--scrape-us", &cfg.scrape_us) ||
-          parse_flag(a, "--scrapes", &cfg.scrapes))) {
-      std::fprintf(stderr,
-                   "usage: %s [--nodes=N] [--partitions=P] [--shards=W] "
-                   "[--seed=S] [--clients=C] [--ops=K] [--hot-shard=P] "
-                   "[--scrape-us=U] [--scrapes=K] [--bench-wall-json FILE] "
-                   "[--timeseries-out FILE] [--slo FILE] "
-                   "[--postmortem-dir DIR] [--hotset-out FILE] "
-                   "[--exemplars-out FILE] [--hot-keys N]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (cfg.nodes == 0 || cfg.partitions == 0 ||
-      cfg.nodes % cfg.partitions != 0) {
-    std::fprintf(stderr,
-                 "datacenter_scale: --nodes must be a positive multiple of "
-                 "--partitions\n");
-    return 2;
+  using namespace dcs;
+  ScaleConfig cfg;
+  bench::HarnessOptions opts;
+  flags::Table table(
+      "bench_datacenter_scale",
+      "Sharded datacenter run whose fingerprint must not depend on --shards\n"
+      "(docs/SCALING.md)",
+      {flags::count("--nodes", &cfg.nodes, 1, 65536,
+                    "datacenter nodes, a multiple of --partitions"),
+       flags::count("--partitions", &cfg.partitions, 1, kMaxPartitions,
+                    "engine shards the nodes are split across"),
+       flags::count("--shards", &cfg.shards, 1, kMaxShards,
+                    "worker threads, at most --partitions"),
+       flags::count("--seed", &cfg.seed, "client workload seed"),
+       flags::count("--clients", &cfg.clients, 0, 4096,
+                    "client strands per partition"),
+       flags::count("--ops", &cfg.ops, 0, 1000000,
+                    "requests per client strand"),
+       flags::count("--hot-shard", &cfg.hot_shard, 0, kMaxPartitions - 1,
+                    "partition whose serves burn extra CPU (SLO breach)"),
+       flags::count("--scrape-us", &cfg.scrape_us, 1, 1000000,
+                    "telemetry scrape cadence in virtual us"),
+       flags::count("--scrapes", &cfg.scrapes, 0, 1000000,
+                    "scrape sweeps per partition")});
+  table.add(bench::harness_flags(
+      opts, {"--bench-wall-json", "--timeseries-out", "--slo",
+             "--postmortem-dir", "--hotset-out", "--exemplars-out",
+             "--hot-keys"}));
+  table.parse(argc, argv);
+  if (cfg.nodes % cfg.partitions != 0) {
+    table.fail("--nodes must be a multiple of --partitions");
   }
   // Each worker is an OS thread that spins at the window barrier, so a
-  // count beyond the partitions (idle spinners) or beyond any real core
-  // count is refused before a thread starts.
-  if (cfg.shards == 0 || cfg.shards > cfg.partitions ||
-      cfg.shards > dcs::kMaxShards) {
-    std::fprintf(stderr,
-                 "datacenter_scale: --shards must be in 1..min(--partitions, "
-                 "%u)\n",
-                 dcs::kMaxShards);
-    return 2;
+  // count beyond the partitions (idle spinners) is refused before a thread
+  // starts; the row's range caps it at kMaxShards.
+  if (cfg.shards > cfg.partitions) {
+    table.fail("--shards must be in 1..min(--partitions, 64)");
   }
-  if (cfg.scrape_us == 0) {
-    std::fprintf(stderr, "datacenter_scale: --scrape-us must be > 0\n");
-    return 2;
-  }
-  if (cfg.hot_shard != dcs::kNoHotShard && cfg.hot_shard >= cfg.partitions) {
-    std::fprintf(stderr, "datacenter_scale: --hot-shard out of range\n");
-    return 2;
+  if (cfg.hot_shard != kNoHotShard && cfg.hot_shard >= cfg.partitions) {
+    table.fail("--hot-shard must be below --partitions");
   }
   cfg.observe = !opts.timeseries_out.empty() || !opts.slo_rules.empty();
   cfg.attribute = opts.attribution_mode();
-  return dcs::run(cfg, opts);
+  return run(cfg, opts);
 }

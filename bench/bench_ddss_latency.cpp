@@ -127,8 +127,11 @@ void print_batch_table(bench::Harness& h, std::size_t max_batch) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("ddss_latency", argc, argv,
-                                                 /*sweeps_batches=*/true);
+  bench::HarnessOptions opts;
+  flags::Table("bench_ddss_latency", "Figure 3a: DDSS put() latency vs size",
+               bench::harness_flags(opts))
+      .add(bench::harness_flags(opts, {"--batch"}))
+      .parse(argc, argv);
   bench::Harness h("ddss_latency", opts);
   print_fig3a(h);
   print_batch_table(h, opts.batch);

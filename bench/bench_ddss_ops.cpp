@@ -255,8 +255,11 @@ void print_get_sweep_table(bench::Harness& h, std::size_t max_batch) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("ddss_ops", argc, argv,
-                                                 /*sweeps_batches=*/true);
+  bench::HarnessOptions opts;
+  flags::Table("bench_ddss_ops", "DDSS operation microbenchmarks",
+               bench::harness_flags(opts))
+      .add(bench::harness_flags(opts, {"--batch"}))
+      .parse(argc, argv);
   bench::Harness h("ddss_ops", opts);
   print_get_table(h);
   print_ipc_table(h);

@@ -230,7 +230,9 @@ void print_throughput_table(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("dlm_cascade", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_dlm_cascade", "Figure 5: lock cascading latency",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("dlm_cascade", opts);
   print_fig4_op_counts(h);
   print_op_latency_table(h);

@@ -115,7 +115,9 @@ void fanout_64(Engine& eng, int msgs_per_node) {
 int main(int argc, char** argv) {
   // The scenarios always run; harness flags add the telemetry files, and
   // --postmortem-dir arms a flight recorder around every scenario.
-  const auto opts = bench::extract_harness_flags("engine", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_engine", "Host throughput of the simulation engine",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("engine", opts);
   const std::pair<const char*, void (*)(Engine&)> kScenarios[] = {
       {"timer_churn/64x2000", [](Engine& e) { timer_churn(e, 64, 2000); }},

@@ -138,7 +138,9 @@ void print_table(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("flashcrowd", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_flashcrowd", "E20: a flash crowd vs the control services",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("flashcrowd", opts);
   print_table(h);
   return h.finish();

@@ -71,7 +71,9 @@ void print_table(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("flowctl", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_flowctl", "E9: credit-based vs packetized flow control",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("flowctl", opts);
   print_table(h);
   return h.finish();

@@ -224,7 +224,9 @@ void print_transport_table(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("integrated", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_integrated", "E13: caching, monitoring, reconfiguration",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("integrated", opts);
   print_table(h);
   print_transport_table(h);

@@ -177,8 +177,9 @@ void print_telemetry_table(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts =
-      bench::extract_harness_flags("monitor_accuracy", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_monitor_accuracy", "Figure 8a: monitoring accuracy",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("monitor_accuracy", opts);
   print_fig8a(h);
   print_intrusiveness(h);

@@ -8,8 +8,6 @@
 // heavy requests and more imbalance, which accurate fine-grained
 // monitoring turns into throughput (paper: ~35 % improvement for the
 // RDMA-based schemes).
-#include <cstdio>
-
 #include "common/table.hpp"
 #include "common/zipf.hpp"
 #include "datacenter/workload.hpp"
@@ -152,19 +150,13 @@ void print_fig8b(bench::Harness& h, std::size_t cores,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --cores-per-node=N adds the Figure 8b table at N cores per node.
   std::size_t cores = 1;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (!bench::parse_flag(argv[i], "--cores-per-node", &cores)) {
-      argv[kept++] = argv[i];
-    }
-  }
-  if (cores == 0) {
-    std::fprintf(stderr, "monitor_zipf: --cores-per-node must be > 0\n");
-    return 2;
-  }
-  const auto opts = bench::extract_harness_flags("monitor_zipf", kept, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_monitor_zipf", "Figure 8b: TPS gain of load balancing",
+               {flags::count("--cores-per-node", &cores, 1, 256,
+                             "add the Figure 8b table at N cores per node")})
+      .add(bench::harness_flags(opts))
+      .parse(argc, argv);
   bench::Harness h("monitor_zipf", opts);
   print_fig8b(h, 1,
               "Figure 8b — throughput improvement over Socket-Async vs Zipf "

@@ -117,7 +117,9 @@ void print_admission_table(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("qos", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_qos", "QoS and admission control under overload",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("qos", opts);
   print_qos_table(h);
   print_admission_table(h);

@@ -92,7 +92,9 @@ void print_table(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("reconfig", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_reconfig", "E11: fine- vs coarse-grained reconfiguration",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("reconfig", opts);
   print_table(h);
   return h.finish();

@@ -99,7 +99,9 @@ void print_sweep_table(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("remote_pager", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_remote_pager", "E14: remote-memory file-cache extension",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("remote_pager", opts);
   print_penalty_table(h);
   print_sweep_table(h);

@@ -137,7 +137,9 @@ void print_stream_table(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("sdp", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_sdp", "E10: SDP, ZSDP and AZ-SDP throughput",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("sdp", opts);
   print_table(h);
   print_datacenter_table(h);

@@ -52,7 +52,9 @@ void print_fig3b(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::extract_harness_flags("storm", argc, argv);
+  bench::HarnessOptions opts;
+  flags::Table("bench_storm", "Figure 3b: STORM vs STORM-DDSS query time",
+               bench::harness_flags(opts)).parse(argc, argv);
   bench::Harness h("storm", opts);
   print_fig3b(h);
   return h.finish();

@@ -1,14 +1,9 @@
 #include "harness.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <set>
 #include <span>
@@ -21,19 +16,6 @@
 namespace dcs::bench {
 
 namespace {
-
-/// Finds `flag <value>` in argv[1..], removes both, returns the value.
-std::string take_flag(int& argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) != 0) continue;
-    std::string value = argv[i + 1];
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-    argv[argc] = nullptr;
-    return value;
-  }
-  return {};
-}
 
 std::string fmt_f3(double v) {
   char buf[64];
@@ -60,40 +42,8 @@ std::string sanitize(std::string name) {
 /// per depth step on a 4 MB node, and 1024 no longer fits.
 constexpr std::uint64_t kMaxBatch = 512;
 
-/// The flags extract_harness_flags takes, in the order it takes them.
-struct FileFlag {
-  const char* name;
-  std::string HarnessOptions::*field;
-};
-constexpr FileFlag kFileFlags[] = {
-    {"--bench-json", &HarnessOptions::bench_json},
-    {"--bench-wall-json", &HarnessOptions::wall_json},
-    {"--critical-path", &HarnessOptions::critical_path},
-    {"--timeseries-out", &HarnessOptions::timeseries_out},
-    {"--slo", &HarnessOptions::slo_rules},
-    {"--trace-out", &HarnessOptions::trace_out},
-    {"--metrics-out", &HarnessOptions::metrics_out},
-    {"--postmortem-dir", &HarnessOptions::postmortem_dir},
-    {"--exemplars-out", &HarnessOptions::exemplars_out},
-    {"--hotset-out", &HarnessOptions::hotset_out},
-};
-struct CountFlag {
-  const char* name;
-  std::size_t HarnessOptions::*field;
-  std::uint64_t max;
-};
-constexpr CountFlag kCountFlags[] = {
-    {"--batch", &HarnessOptions::batch, kMaxBatch},
-    {"--hot-keys", &HarnessOptions::hot_keys,
-     std::numeric_limits<std::size_t>::max()},
-};
-
-/// Takes `flag <count>` from argv (0 when absent); see parse_count.
-std::size_t take_count(int& argc, char** argv, const char* flag,
-                       std::uint64_t max) {
-  const std::string text = take_flag(argc, argv, flag);
-  return text.empty() ? 0 : parse_count(flag, text, max);
-}
+/// Largest `--hot-keys` count; a domain's sketch keeps far fewer keys.
+constexpr std::uint64_t kMaxHotKeys = 1024;
 
 /// Some flag asks for a per-scenario file or table.
 bool wants_output(const HarnessOptions& o) {
@@ -105,75 +55,61 @@ bool wants_output(const HarnessOptions& o) {
 
 }  // namespace
 
-std::uint64_t parse_count(const char* flag, const std::string& text,
-                          std::uint64_t max) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end || value > max) {
-    std::fprintf(stderr, "%s wants a count up to %llu, got '%s'\n", flag,
-                 static_cast<unsigned long long>(max), text.c_str());
-    std::exit(2);
-  }
-  return value;
-}
-
-double parse_real(const char* flag, const std::string& text, double min,
-                  double max) {
-  double value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end ||
-      !std::isfinite(value) || value < min || value > max) {
-    std::fprintf(stderr, "%s wants a number in [%g, %g], got '%s'\n", flag,
-                 min, max, text.c_str());
-    std::exit(2);
-  }
-  return value;
-}
-
-HarnessOptions extract_harness_flags(int& argc, char** argv) {
-  HarnessOptions opts;
-  for (const FileFlag& f : kFileFlags) {
-    opts.*f.field = take_flag(argc, argv, f.name);
-  }
-  for (const CountFlag& f : kCountFlags) {
-    opts.*f.field = take_count(argc, argv, f.name, f.max);
-  }
-  return opts;
-}
-
-HarnessOptions extract_harness_flags(const std::string& bench, int argc,
-                                     char** argv, bool sweeps_batches) {
-  const HarnessOptions opts = extract_harness_flags(argc, argv);
-  if (argc > 1) {
-    std::fprintf(stderr, "bench_%s: unexpected argument '%s'\n",
-                 bench.c_str(), argv[1]);
-    std::exit(2);
-  }
-  if (opts.batch > 0 && !sweeps_batches) {
-    std::fprintf(stderr,
-                 "bench_%s: --batch is not supported here (no batched "
-                 "sweep)\n",
-                 bench.c_str());
-    std::exit(2);
-  }
-  return opts;
-}
-
-void honour_only(const std::string& binary, const HarnessOptions& opts,
-                 std::initializer_list<std::string_view> honoured) {
-  const auto check = [&](const char* flag, bool given) {
-    if (!given || std::find(honoured.begin(), honoured.end(), flag) !=
-                      honoured.end()) {
-      return;
-    }
-    std::fprintf(stderr, "%s: %s is not supported here\n", binary.c_str(),
-                 flag);
-    std::exit(2);
+std::vector<flags::Flag> harness_flags(
+    HarnessOptions& opts, std::initializer_list<std::string_view> only) {
+  std::vector<flags::Flag> rows = {
+      flags::path("--bench-json", &opts.bench_json,
+                  "write every scenario's dcs-bench-v1 telemetry"),
+      flags::path("--bench-wall-json", &opts.wall_json,
+                  "write host wall-time telemetry (dcs-bench-wall-v1)"),
+      flags::path("--critical-path", &opts.critical_path,
+                  "write the critical-path attribution report"),
+      flags::path("--timeseries-out", &opts.timeseries_out,
+                  "write a dcs-timeseries-v1 cluster time-series dump"),
+      {.name = "--slo",
+       .meta = "FILE",
+       .help = "evaluate the SLO rules in FILE; alert stream to stderr",
+       .store =
+           [&opts](const std::string& path) {
+             std::string error;
+             opts.slo_rules = obs::parse_slo_rules_file(path, &error);
+             return error;
+           }},
+      flags::path("--trace-out", &opts.trace_out,
+                  "write one Chrome trace_event JSON, scenarios end to end"),
+      flags::path("--metrics-out", &opts.metrics_out,
+                  "write the metrics registry dump, one section per scenario"),
+      flags::path("--postmortem-dir", &opts.postmortem_dir,
+                  "arm a flight recorder; trips dump there", "DIR"),
+      flags::path("--exemplars-out", &opts.exemplars_out,
+                  "write the dcs-exemplar-v1 tail exemplars"),
+      flags::path("--hotset-out", &opts.hotset_out,
+                  "write the dcs-hotset-v1 hot-key dump"),
+      flags::count("--hot-keys", &opts.hot_keys, 0, kMaxHotKeys,
+                   "print the top-N hot keys per domain"),
+      flags::count("--batch", &opts.batch, 0, kMaxBatch,
+                   "deepest verbs batch the batched sweeps run (0: 1..8)"),
   };
-  for (const FileFlag& f : kFileFlags) check(f.name, !(opts.*f.field).empty());
-  for (const CountFlag& f : kCountFlags) check(f.name, opts.*f.field > 0);
+  std::erase_if(rows, [&](const flags::Flag& row) {
+    return only.size() == 0 ? row.name == "--batch"
+                            : std::find(only.begin(), only.end(), row.name) ==
+                                  only.end();
+  });
+  DCS_CHECK(only.size() == 0 || rows.size() == only.size());
+  return rows;
+}
+
+void print_hot_keys(const obs::HeavyHitters& hot, std::size_t n) {
+  for (const std::string& domain : hot.domains()) {
+    std::printf("hot %s (total=%llu):\n", domain.c_str(),
+                static_cast<unsigned long long>(hot.total(domain)));
+    for (const obs::HotEntry& e : hot.top(domain, n)) {
+      std::printf("  key=%llu count=%llu error=%llu\n",
+                  static_cast<unsigned long long>(e.key),
+                  static_cast<unsigned long long>(e.count),
+                  static_cast<unsigned long long>(e.error));
+    }
+  }
 }
 
 std::vector<std::size_t> batch_sweep(std::size_t max) {
@@ -424,13 +360,7 @@ int Harness::finish() {
   if (!opts_.timeseries_out.empty() || !opts_.slo_rules.empty()) {
     obs::SloEngine slo(store_);
     if (!opts_.slo_rules.empty()) {
-      std::string error;
-      auto rules = obs::parse_slo_rules_file(opts_.slo_rules, &error);
-      if (!error.empty()) {
-        std::fprintf(stderr, "bench: %s\n", error.c_str());
-        rc = 1;
-      }
-      for (auto& rule : rules) slo.add_rule(std::move(rule));
+      for (const obs::SloRule& rule : opts_.slo_rules) slo.add_rule(rule);
       SimNanos now = 0;
       for (const Snapshot& sn : snapshots_) {
         if (sn.virtual_ns > now) now = sn.virtual_ns;
@@ -460,18 +390,7 @@ int Harness::finish() {
       trace::write_exemplar_json(os, exemplars_);
     });
   }
-  if (opts_.hot_keys > 0) {
-    for (const std::string& domain : hot_.domains()) {
-      std::printf("hot %s (total=%llu):\n", domain.c_str(),
-                  static_cast<unsigned long long>(hot_.total(domain)));
-      for (const obs::HotEntry& e : hot_.top(domain, opts_.hot_keys)) {
-        std::printf("  key=%llu count=%llu error=%llu\n",
-                    static_cast<unsigned long long>(e.key),
-                    static_cast<unsigned long long>(e.count),
-                    static_cast<unsigned long long>(e.error));
-      }
-    }
-  }
+  if (opts_.hot_keys > 0) print_hot_keys(hot_, opts_.hot_keys);
   return rc;
 }
 

@@ -23,7 +23,9 @@
 // Usage (see bench_storm.cpp):
 //
 //   int main(int argc, char** argv) {
-//     const auto opts = bench::extract_harness_flags("storm", argc, argv);
+//     bench::HarnessOptions opts;
+//     flags::Table("bench_storm", "Figure 3b", bench::harness_flags(opts))
+//         .parse(argc, argv);
 //     bench::Harness h("storm", opts);
 //     print_fig3b(h);  // h.run("query/STORM-DDSS/1000", ...) per cell
 //     return h.finish();
@@ -31,16 +33,15 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <initializer_list>
 #include <iosfwd>
-#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/stats.hpp"
 #include "obs/heavy.hpp"
 #include "obs/slo.hpp"
@@ -52,28 +53,16 @@
 
 namespace dcs::bench {
 
-/// Every observability/telemetry flag the repo's binaries accept, parsed
-/// in exactly one place.  Empty string = not requested.  Each file holds
-/// every scenario the binary ran, in run order:
-///   --bench-json FILE       canonical BENCH_<name>.json
-///   --bench-wall-json FILE  wall-clock BENCH_<name>.wall.json
-///   --critical-path FILE    plain-text attribution report
-///   --timeseries-out FILE   dcs-timeseries-v1 cluster time-series dump
-///   --slo FILE              SLO rule file evaluated against the dump
-///   --exemplars-out FILE    dcs-exemplar-v1 tail-exemplar dump
-///   --hotset-out FILE       dcs-hotset-v1 hot-key sketch dump
-///   --hot-keys N            print the top-N hot-key table per domain
-///   --trace-out FILE        one Chrome trace_event JSON, scenarios laid
-///                           end to end in virtual time
-///   --metrics-out FILE      metrics registry dump, one section per scenario
-///   --postmortem-dir DIR    arm a flight recorder dumping here
-///   --batch N               deepest verbs batch a batched sweep runs
+/// Every observability/telemetry flag the repo's binaries accept; the rows
+/// of harness_flags() write them.  Empty = not requested.  Each file holds
+/// every scenario the binary ran, in run order.
 struct HarnessOptions {
   std::string bench_json;     // canonical BENCH_<name>.json
   std::string wall_json;      // wall-clock BENCH_<name>.wall.json
   std::string critical_path;  // plain-text attribution report
   std::string timeseries_out; // dcs-timeseries-v1 dump (obs/timeseries.hpp)
-  std::string slo_rules;      // SLO rule file (obs/slo.hpp syntax)
+  /// --slo FILE: the rules, read and checked when the flag is parsed.
+  std::vector<obs::SloRule> slo_rules;
   std::string exemplars_out;  // dcs-exemplar-v1 dump (trace/exemplar.hpp)
   std::string hotset_out;     // dcs-hotset-v1 dump (obs/heavy.hpp)
   std::string trace_out;      // Chrome trace_event JSON file
@@ -95,47 +84,17 @@ struct HarnessOptions {
   }
 };
 
-/// Removes the flags above from argv (shifting later arguments down and
-/// decrementing argc) and returns the extracted values, so a bench's own
-/// argument parser sees only the arguments left over.  A `--batch` or
-/// `--hot-keys` value that is not a count (or a `--batch` above 512) exits
-/// with status 2 and a message.
-HarnessOptions extract_harness_flags(int& argc, char** argv);
+/// The flag-table rows (common/flags.hpp) that fill `opts`: every flag
+/// above but --batch when `only` is empty, else just the rows `only`
+/// names.  A binary lists the rows of the outputs it writes, so a flag it
+/// does not write is unknown to it.  `--slo` reads and checks its rule
+/// file while the command line is parsed.
+std::vector<flags::Flag> harness_flags(
+    HarnessOptions& opts, std::initializer_list<std::string_view> only = {});
 
-/// Parses all of `text`, the value of `flag`, as a decimal count up to
-/// `max`; exits with status 2 and a message on anything else (a sign,
-/// trailing characters, an empty string, overflow).
-std::uint64_t parse_count(const char* flag, const std::string& text,
-                          std::uint64_t max);
-
-/// Matches `--flag=N` and stores N in `*out` (parse_count, up to the
-/// largest `T`); false when `arg` is another flag.
-template <typename T>
-bool parse_flag(const char* arg, const char* flag, T* out) {
-  const std::size_t n = std::strlen(flag);
-  if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
-  *out = static_cast<T>(
-      parse_count(flag, arg + n + 1, std::numeric_limits<T>::max()));
-  return true;
-}
-
-/// Parses all of `text`, the value of `flag`, as a finite decimal number
-/// in [min, max]; exits with status 2 and a message on anything else.
-double parse_real(const char* flag, const std::string& text, double min,
-                  double max);
-
-/// A figure bench's command line: the flags above, after which the bench
-/// exits with status 2 and a message when argv holds anything more (a
-/// bench with flags of its own removes them first), or when it sets
-/// `--batch` and the bench does not sweep batch depths.
-HarnessOptions extract_harness_flags(const std::string& bench, int argc,
-                                     char** argv, bool sweeps_batches = false);
-
-/// Exits with status 2 and a message when `opts` sets a flag (spelled as
-/// on the command line, e.g. "--trace-out") that is not in `honoured`:
-/// for a binary that parses the flags above but writes only some of them.
-void honour_only(const std::string& binary, const HarnessOptions& opts,
-                 std::initializer_list<std::string_view> honoured);
+/// Prints the top `n` entries of every domain of `hot` to stdout, domains
+/// in name order: the `--hot-keys N` table.
+void print_hot_keys(const obs::HeavyHitters& hot, std::size_t n);
 
 /// Writes one output file through `write`, then reports "bench: <what> ->
 /// <path>" on stderr.  Returns 1, with a message, when `path` cannot be

@@ -9,6 +9,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/flags.hpp"
+
 namespace dcs::lint {
 
 namespace {
@@ -348,52 +350,29 @@ int lint_main(int argc, const char* const* argv) {
   std::string json_out;
   std::string baseline_path;
   bool write_baseline = false;
+  bool list_rules = false;
   std::vector<std::string> only_under;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "dcs-lint: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--root") {
-      const char* v = value("--root");
-      if (v == nullptr) return 2;
-      root = v;
-    } else if (arg == "--json") {
-      const char* v = value("--json");
-      if (v == nullptr) return 2;
-      json_out = v;
-    } else if (arg == "--baseline") {
-      const char* v = value("--baseline");
-      if (v == nullptr) return 2;
-      baseline_path = v;
-    } else if (arg == "--write-baseline") {
-      write_baseline = true;
-    } else if (arg == "--list-rules") {
-      for (const RuleInfo& r : rule_catalog()) {
-        std::cout << r.id << "  " << r.title << "\n    " << r.summary << "\n";
-      }
-      return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout
-          << "usage: dcs-lint [--root DIR] [--json FILE] [--baseline FILE]\n"
-             "                [--write-baseline] [--list-rules] [PATH...]\n"
-             "Lints src/ bench/ tools/ tests/ examples/ under --root for the\n"
-             "repo invariants R1-R5 (docs/LINT.md).  PATH prefixes restrict\n"
-             "which findings are reported (the whole repo is still scanned\n"
-             "so cross-file analysis stays correct).  Exit: 0 clean, 1\n"
-             "findings, 2 usage/I-O error.\n";
-      return 0;
-    } else if (!arg.empty() && arg.front() == '-') {
-      std::cerr << "dcs-lint: unknown flag " << arg << " (see --help)\n";
-      return 2;
-    } else {
-      only_under.emplace_back(arg);
+  flags::Table(
+      "dcs-lint",
+      "Lints src/ bench/ tools/ tests/ examples/ under --root for the repo\n"
+      "invariants R1-R6 (docs/LINT.md).  PATH prefixes restrict which\n"
+      "findings are reported (the whole repo is still scanned so cross-file\n"
+      "analysis stays correct).  Exit: 0 clean, 1 findings, 2 usage/I-O\n"
+      "error.",
+      {flags::path("--root", &root, "repository to lint", "DIR"),
+       flags::path("--json", &json_out, "also write a dcs-lint-v1 report"),
+       flags::path("--baseline", &baseline_path,
+                   "baseline file (default <root>/.dcs-lint-baseline)"),
+       flags::toggle("--write-baseline", &write_baseline,
+                     "write the active findings as the baseline"),
+       flags::toggle("--list-rules", &list_rules, "print the rule catalog"),
+       flags::positionals("PATH", &only_under, "report only under PATH")})
+      .parse(argc, argv);
+  if (list_rules) {
+    for (const RuleInfo& r : rule_catalog()) {
+      std::cout << r.id << "  " << r.title << "\n    " << r.summary << "\n";
     }
+    return 0;
   }
 
   std::string error;

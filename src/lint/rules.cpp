@@ -358,6 +358,39 @@ void rule_r5(const SourceFile& f, const RepoModel& model,
   }
 }
 
+// --- R6: one checked number parser ---------------------------------------
+
+const std::set<std::string_view>& r6_banned() {
+  static const std::set<std::string_view> kBanned = {
+      "stoi",    "stol",     "stoll",     "stoul",     "stoull",  "stof",
+      "stod",    "stold",    "atoi",      "atol",      "atoll",   "atof",
+      "strtol",  "strtoll",  "strtoul",   "strtoull",  "strtof",  "strtod",
+      "strtold", "strtoimax", "strtoumax",
+  };
+  return kBanned;
+}
+
+void rule_r6(const SourceFile& f, const Config& config,
+             std::vector<Finding>& out) {
+  if (!in_src(f.path) && !starts_with(f.path, "bench/") &&
+      !starts_with(f.path, "tools/")) {
+    return;
+  }
+  for (const auto& allowed : config.number_parser_allowed_paths) {
+    if (f.path == allowed) return;
+  }
+  for (const Token& t : f.lexed.tokens) {
+    if (t.kind != TokKind::kIdent) continue;
+    if (t.in_directive && t.directive == "include") continue;
+    if (r6_banned().count(t.text) == 0) continue;
+    add(out, "R6", f, t,
+        "unchecked number parse `" + t.text +
+            "`: it takes a sign, blanks or a numeric prefix, or throws; use "
+            "flags::parse_count / flags::parse_real (common/flags.hpp)",
+        t.text);
+  }
+}
+
 // --- model construction ---------------------------------------------------
 
 void collect_nodiscard_types(const SourceFile& f,
@@ -400,6 +433,9 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"R5", "nodiscard-task",
        "Task/awaitable-returning functions in src headers must be "
        "[[nodiscard]] or return a class [[nodiscard]] type"},
+      {"R6", "checked-numbers",
+       "std::sto*/ato*/strto* number parsing in src/, bench/ and tools/ "
+       "outside common/flags.cpp; use flags::parse_count / parse_real"},
       {"S1", "suppression",
        "dcs-lint: allow(...) comments must name a known rule and a reason"},
   };
@@ -450,6 +486,7 @@ std::vector<Finding> run_rules(const RepoModel& model, const Config& config) {
     rule_r3(f, model, out);
     rule_r4(f, out);
     rule_r5(f, model, out);
+    rule_r6(f, config, out);
   }
   return out;
 }

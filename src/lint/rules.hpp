@@ -22,12 +22,17 @@
 //                        are [[nodiscard]], either on the declaration or via
 //                        a `class [[nodiscard]]` return type: a discarded
 //                        Task is a coroutine that silently never runs.
+//   R6 checked-numbers — no std::sto*/ato*/strto* in src/, bench/ or tools/
+//                        outside common/flags.cpp: numbers from outside
+//                        the program go through one checked parser
+//                        (flags::parse_count / parse_real), which rejects
+//                        signs, blanks, trailing characters and overflow.
 //   S1 suppression     — inline `// dcs-lint: allow(<rule>, <reason>)`
 //                        comments must name a known rule and give a reason
 //                        (enforced by the driver, which owns comments).
 //
 // All rules are path-scoped (R1/R2/R5 to src/, R3 to the emitter include
-// closure, R4 everywhere) and report deterministic, position-sorted
+// closure, R4 everywhere, R6 to src/, bench/ and tools/) and report deterministic, position-sorted
 // findings; the driver layers inline suppressions and the baseline on top.
 #pragma once
 
@@ -55,7 +60,7 @@ struct RuleInfo {
   const char* summary;
 };
 
-/// Stable catalog of every rule id the tool knows (R1..R5, S1).
+/// Stable catalog of every rule id the tool knows (R1..R6, S1).
 const std::vector<RuleInfo>& rule_catalog();
 bool known_rule(std::string_view id);
 
@@ -73,6 +78,9 @@ struct Config {
   // R3: roots of the emit-visible include closure (prefix match).
   std::vector<std::string> emit_root_prefixes = {
       "src/trace/", "src/obs/", "bench/harness."};
+  // R6: the one checked number parser.
+  std::vector<std::string> number_parser_allowed_paths = {
+      "src/common/flags.cpp"};
 };
 
 struct RepoModel {
@@ -86,7 +94,7 @@ struct RepoModel {
 /// `[[nodiscard]]`-marked type names across all files.
 RepoModel build_model(std::vector<SourceFile> files, const Config& config);
 
-/// Runs R1–R5 over the model.  Findings come back unfiltered (no
+/// Runs R1–R6 over the model.  Findings come back unfiltered (no
 /// suppressions, no baseline) in file/position order.
 std::vector<Finding> run_rules(const RepoModel& model, const Config& config);
 

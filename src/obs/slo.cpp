@@ -1,12 +1,14 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/flags.hpp"
 #include "trace/flight.hpp"
 
 namespace dcs::obs {
@@ -215,34 +217,44 @@ std::vector<SloRule> parse_slo_rules(std::istream& in, std::string* error) {
       }
       const std::string key = word.substr(0, eq);
       const std::string val = word.substr(eq + 1);
-      try {
-        if (key == "series") {
-          rule.series = val;
-        } else if (key == "total") {
-          rule.total = val;
-        } else if (key == "threshold" || key == "max" || key == "budget") {
-          rule.threshold = std::stod(val);
-          have_threshold = true;
-        } else if (key == "quantile") {
-          rule.quantile = std::stod(val);
-        } else if (key == "windows") {
-          rule.windows = std::stoull(val);
-        } else if (key == "fast") {
-          rule.fast_windows = std::stoull(val);
-        } else if (key == "slow") {
-          rule.slow_windows = std::stoull(val);
-        } else if (key == "fast_burn") {
-          rule.fast_burn = std::stod(val);
-        } else if (key == "slow_burn") {
-          rule.slow_burn = std::stod(val);
-        } else if (key == "arm") {
-          rule.arm_fraction = std::stod(val);
-        } else {
-          return fail("unknown key `" + key + "`");
-        }
-      } catch (const std::exception&) {
-        return fail("bad number in `" + word + "`");
+      // Every number is read whole through the checked parsers: no sign
+      // on a count, no trailing characters, reals finite.
+      const auto count = [&](std::uint64_t* dst) {
+        const auto n = flags::parse_count(val);
+        if (n) *dst = *n;
+        return n.has_value();
+      };
+      const auto real = [&](double* dst, double min, double max) {
+        const auto x = flags::parse_real(val, min, max);
+        if (x) *dst = *x;
+        return x.has_value();
+      };
+      bool ok = true;
+      if (key == "series") {
+        rule.series = val;
+      } else if (key == "total") {
+        rule.total = val;
+      } else if (key == "threshold" || key == "max" || key == "budget") {
+        ok = real(&rule.threshold, -DBL_MAX, DBL_MAX);
+        have_threshold = true;
+      } else if (key == "quantile") {
+        ok = real(&rule.quantile, 0, 100);
+      } else if (key == "windows") {
+        ok = count(&rule.windows);
+      } else if (key == "fast") {
+        ok = count(&rule.fast_windows);
+      } else if (key == "slow") {
+        ok = count(&rule.slow_windows);
+      } else if (key == "fast_burn") {
+        ok = real(&rule.fast_burn, -DBL_MAX, DBL_MAX);
+      } else if (key == "slow_burn") {
+        ok = real(&rule.slow_burn, -DBL_MAX, DBL_MAX);
+      } else if (key == "arm") {
+        ok = real(&rule.arm_fraction, 0, 1);
+      } else {
+        return fail("unknown key `" + key + "`");
       }
+      if (!ok) return fail("bad number in `" + word + "`");
     }
     if (rule.series.empty()) return fail("rule needs series=<name>");
     if (!have_threshold) {

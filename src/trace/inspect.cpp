@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/flags.hpp"
+
 namespace dcs::trace::inspect {
 
 // --- JSON parser ---
@@ -184,11 +186,9 @@ class Parser {
     Json v;
     v.type = Json::Type::kNumber;
     v.raw = std::string(text_.substr(start, pos_ - start));
-    try {
-      v.number = std::stod(v.raw);
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
+    const auto number = flags::parse_real(v.raw);
+    if (!number) fail("bad number");
+    v.number = *number;
     return v;
   }
 
@@ -211,13 +211,9 @@ double Json::num_or(double fallback) const {
 
 std::uint64_t Json::u64_or(std::uint64_t fallback) const {
   if (type != Type::kNumber) return fallback;
-  if (!raw.empty() && raw.find_first_of(".eE") == std::string::npos) {
-    try {
-      return std::stoull(raw);
-    } catch (const std::exception&) {
-    }
-  }
-  return number < 0 ? fallback : static_cast<std::uint64_t>(number);
+  if (const auto n = flags::parse_count(raw)) return *n;
+  return number < 0 || number >= 0x1p64 ? fallback
+                                        : static_cast<std::uint64_t>(number);
 }
 
 std::string Json::str_or(std::string fallback) const {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/pattern.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -233,6 +236,112 @@ TEST(UnitsTest, Conversions) {
   EXPECT_DOUBLE_EQ(to_micros(microseconds(55)), 55.0);
   EXPECT_EQ(8_KB, 8192u);
   EXPECT_EQ(2_MB, 2097152u);
+}
+
+// --- flags: the declarative flag table ---
+
+/// Parses `args` (after argv[0]) with a table of one row of each kind.
+struct FlagRun {
+  std::size_t nodes = 4;
+  std::optional<std::uint32_t> node;
+  double alpha = 0.5;
+  std::string scheme = "a", out, file;
+  bool check = false;
+
+  void parse(std::vector<std::string> args) {
+    args.insert(args.begin(), "unit");
+    std::vector<const char*> argv;
+    for (const auto& a : args) argv.push_back(a.c_str());
+    flags::Table("unit", "",
+                 {flags::positional("FILE", &file, "input"),
+                  flags::count("--nodes", &nodes, 1, 64, "nodes"),
+                  flags::count("--node", &node, 0, 7, "one node"),
+                  flags::real("--alpha", &alpha, 0, 1, "skew"),
+                  flags::choice("--scheme", &scheme, {"a", "b"}, "scheme"),
+                  flags::path("--out", &out, "output"),
+                  flags::toggle("--check", &check, "check only")})
+        .parse(static_cast<int>(argv.size()), argv.data());
+  }
+};
+
+TEST(FlagTableTest, EqualsAndSpaceSpellingsParseAlike) {
+  FlagRun spaced, joined;
+  spaced.parse({"f", "--nodes", "8", "--node", "3", "--alpha", "0.25",
+                "--scheme", "b", "--out", "o", "--check"});
+  joined.parse({"--nodes=8", "--node=3", "--alpha=0.25", "--scheme=b",
+                "--out=o", "--check", "f"});
+  for (const FlagRun* r : {&spaced, &joined}) {
+    EXPECT_EQ(r->nodes, 8u);
+    EXPECT_EQ(r->node, 3u);
+    EXPECT_EQ(r->alpha, 0.25);
+    EXPECT_EQ(r->scheme, "b");
+    EXPECT_EQ(r->out, "o");
+    EXPECT_EQ(r->file, "f");
+    EXPECT_TRUE(r->check);
+  }
+}
+
+TEST(FlagTableTest, DefaultsStayWhenAFlagIsAbsent) {
+  FlagRun r;
+  r.parse({"f"});
+  EXPECT_EQ(r.nodes, 4u);
+  EXPECT_EQ(r.node, std::nullopt);
+  EXPECT_EQ(r.scheme, "a");
+  EXPECT_FALSE(r.check);
+}
+
+TEST(FlagTableTest, EveryMalformedCommandLineExits2WithAMessage) {
+  const std::pair<std::vector<std::string>, const char*> kCases[] = {
+      {{"f", "--bogus"}, "unit: unknown flag --bogus"},
+      {{"f", "-h"}, "unit: unknown flag -h"},
+      {{"f", "g"}, "unit: unexpected argument 'g'"},
+      {{}, "unit: missing FILE"},
+      {{"f", "--nodes"}, "unit: --nodes needs a value"},
+      {{"f", "--nodes", "--check"}, "unit: --nodes needs a value"},
+      {{"f", "--out="}, "unit: --out needs a value"},
+      {{"f", "--nodes=2", "--nodes", "2"}, "unit: --nodes given twice"},
+      {{"f", "--check", "--check"}, "unit: --check given twice"},
+      {{"f", "--check=1"}, "unit: --check takes no value"},
+      {{"f", "--nodes", "0"}, "unit: --nodes wants a count in \\[1, 64\\]"},
+      {{"f", "--nodes", "65"}, "unit: --nodes wants a count"},
+      {{"f", "--node", "-1"}, "unit: --node wants a count"},
+      {{"f", "--node", "8"}, "unit: --node wants a count"},
+      {{"f", "--alpha", "nan"}, "unit: --alpha wants a number"},
+      {{"f", "--scheme", "c"}, "unit: unknown --scheme 'c'"},
+  };
+  for (const auto& [args, message] : kCases) {
+    FlagRun r;
+    EXPECT_EXIT(r.parse(args), ::testing::ExitedWithCode(2), message)
+        << message;
+  }
+}
+
+TEST(FlagTableTest, HelpPrintsTheGeneratedUsageAndExits0) {
+  FlagRun r;
+  EXPECT_EXIT(r.parse({"--help"}), ::testing::ExitedWithCode(0), "");
+  const std::string usage = flags::Table(
+      "unit", "about", {flags::count("--nodes", &r.nodes, 1, 64, "nodes")})
+                                .usage();
+  EXPECT_EQ(usage,
+            "usage: unit [flags]\n"
+            "about\n\n"
+            "  --nodes N             nodes (N in [1, 64], default 4)\n"
+            "  --help                print this usage and exit\n");
+}
+
+TEST(FlagTableTest, CheckedParsersReadWholeNumbersOnly) {
+  EXPECT_EQ(flags::parse_count("42"), 42u);
+  EXPECT_EQ(flags::parse_count("18446744073709551615"),
+            18446744073709551615ull);
+  for (const char* text : {"", "-1", "+1", " 1", "1 ", "3x", "0x10",
+                           "18446744073709551616"}) {
+    EXPECT_EQ(flags::parse_count(text), std::nullopt) << text;
+  }
+  EXPECT_EQ(flags::parse_count("5", 6, 9), std::nullopt);
+  EXPECT_EQ(flags::parse_real("-2.5e1"), -25.0);
+  for (const char* text : {"", "nan", "inf", "1e999", "1.5.", " 1"}) {
+    EXPECT_EQ(flags::parse_real(text), std::nullopt) << text;
+  }
 }
 
 }  // namespace

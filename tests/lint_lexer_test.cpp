@@ -159,6 +159,19 @@ TEST(LintLexer, StringContentsAreNotIdentifiers) {
   ASSERT_EQ(f.comments.size(), 1u);
 }
 
+TEST(LintLexer, QualifiedCallsLexAsSeparateIdentifiers) {
+  // R6 matches the callee token alone, so `std::stoull(` and `::atoi(` must
+  // lex the function name as one identifier after the `::`.
+  auto f = lex("n = std::stoull(s); m = ::atoi(p); k = stoull_like(q);");
+  std::vector<std::string> idents;
+  for (const auto& t : f.tokens) {
+    if (t.kind == TokKind::kIdent) idents.push_back(t.text);
+  }
+  EXPECT_EQ(idents, (std::vector<std::string>{"n", "std", "stoull", "s", "m",
+                                              "atoi", "p", "k", "stoull_like",
+                                              "q"}));
+}
+
 TEST(LintLexer, IncludeDirectiveTokensAreMarked) {
   auto f = lex("#include <unordered_map>\n#include \"sim/engine.hpp\"\n");
   auto incs = collect_includes(f);

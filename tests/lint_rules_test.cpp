@@ -1,4 +1,4 @@
-// Rule-engine fixtures for dcs-lint: for every rule R1-R5 (plus the S1
+// Rule-engine fixtures for dcs-lint: for every rule R1-R6 (plus the S1
 // suppression-hygiene meta rule) a flagged snippet, a clean snippet, and a
 // suppressed (`// dcs-lint: allow(...)`) snippet, driven through the full
 // analyze() pipeline exactly as the CLI runs it — including the include
@@ -321,6 +321,42 @@ TEST(LintRules, R5AllowedWithReason) {
                  "CopyAwaiter poke(int node);\n"}});
   EXPECT_TRUE(r.active.empty());
   EXPECT_EQ(rules_of(r.suppressed), (std::vector<std::string>{"R5"}));
+}
+
+// --- R6: one checked number parser ---------------------------------------
+
+TEST(LintRules, R6FlagsUncheckedNumberParsesInSrcBenchAndTools) {
+  auto r = run({{"src/obs/rules.cpp",
+                 "double a(const std::string& s) { return std::stod(s); }\n"
+                 "int b(const char* s) { return atoi(s); }\n"},
+                {"bench/bench_foo.cpp",
+                 "auto n = std::strtoull(argv[1], nullptr, 10);\n"},
+                {"tools/foo.cpp", "auto k = std::stoull(text);\n"}});
+  EXPECT_EQ(rules_of(r.active),
+            (std::vector<std::string>{"R6", "R6", "R6", "R6"}));
+  EXPECT_EQ(r.active[0].snippet, "strtoull");
+  EXPECT_EQ(r.active[1].path, "src/obs/rules.cpp");
+  EXPECT_EQ(r.active[1].snippet, "stod");
+}
+
+TEST(LintRules, R6CleanCheckedParsersStringsAndLookalikes) {
+  auto r = run({{"src/obs/rules.cpp",
+                 "#include \"common/flags.hpp\"\n"
+                 "auto n = flags::parse_count(val);  // not std::stoull\n"
+                 "const char* s = \"std::stod(x) atoi(y)\";\n"
+                 "int store(int stop) { return stop; }\n"},
+                {"src/common/flags.cpp", "double x = std::stod(t);\n"},
+                {"tests/foo_test.cpp", "int n = std::stoi(\"3\");\n"},
+                {"examples/tour.cpp", "int n = atoi(argv[1]);\n"}});
+  EXPECT_TRUE(r.active.empty());
+}
+
+TEST(LintRules, R6AllowedWithReason) {
+  auto r = run({{"tools/foo.cpp",
+                 "// dcs-lint: allow(R6, fixture parses a constant)\n"
+                 "int n = std::stoi(\"3\");\n"}});
+  EXPECT_TRUE(r.active.empty());
+  EXPECT_EQ(rules_of(r.suppressed), (std::vector<std::string>{"R6"}));
 }
 
 // --- S1: suppression hygiene ---------------------------------------------

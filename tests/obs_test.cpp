@@ -242,6 +242,20 @@ TEST(SloRulesTest, RejectsMalformedInputWithLineNumbers) {
     EXPECT_TRUE(obs::parse_slo_rules(in, &error).empty());
     EXPECT_NE(error.find("no rules"), std::string::npos) << error;
   }
+  // Numbers are read whole: no numeric prefix, no sign on a count, reals
+  // finite, quantile in [0, 100] and arm in [0, 1].
+  for (const char* bad :
+       {"windows=3x", "windows=-1", "fast=+2", "slow=", "threshold=nan",
+        "max=inf", "max=0.1x", "quantile=101", "quantile=-1", "arm=2",
+        "fast_burn=1e999", "slow_burn=2.5.1"}) {
+    std::istringstream in(std::string("# header\n"
+                                      "rule r rate series=a total=b max=0.1 ") +
+                          bad + "\n");
+    EXPECT_TRUE(obs::parse_slo_rules(in, &error).empty()) << bad;
+    EXPECT_NE(error.find("line 2: bad number in `" + std::string(bad)),
+              std::string::npos)
+        << error;
+  }
 }
 
 /// Feeds (t.slow, t.total) counter windows into a store: each window adds

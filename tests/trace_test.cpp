@@ -7,6 +7,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -145,55 +146,7 @@ TEST(TracerTest, RecordsNestedSpansAndInstantsAtVirtualTime) {
   EXPECT_NE(json.str().find("\"ph\":\"i\""), std::string::npos);
 }
 
-// --- CLI flag extraction (bench/harness.hpp, the one parser) ---
-
-TEST(ObserveFlagsTest, ExtractsAndRemovesBothFlags) {
-  std::vector<std::string> storage = {"bench",       "--foo",        "--trace-out",
-                                      "t.json",      "--bar",        "1",
-                                      "--metrics-out", "m.txt"};
-  std::vector<char*> argv;
-  for (auto& s : storage) argv.push_back(s.data());
-  argv.push_back(nullptr);
-  int argc = static_cast<int>(storage.size());
-  const auto opts = bench::extract_harness_flags(argc, argv.data());
-  EXPECT_TRUE(opts.bench_json.empty());
-  EXPECT_EQ(opts.trace_out, "t.json");
-  EXPECT_EQ(opts.metrics_out, "m.txt");
-  ASSERT_EQ(argc, 4);
-  EXPECT_STREQ(argv[0], "bench");
-  EXPECT_STREQ(argv[1], "--foo");
-  EXPECT_STREQ(argv[2], "--bar");
-  EXPECT_STREQ(argv[3], "1");
-  EXPECT_EQ(argv[4], nullptr);
-}
-
-TEST(ObserveFlagsTest, AbsentFlagsDisableObservation) {
-  std::vector<std::string> storage = {"bench", "--foo"};
-  std::vector<char*> argv;
-  for (auto& s : storage) argv.push_back(s.data());
-  argv.push_back(nullptr);
-  int argc = 2;
-  const auto opts = bench::extract_harness_flags(argc, argv.data());
-  EXPECT_TRUE(opts.trace_out.empty());
-  EXPECT_TRUE(opts.metrics_out.empty());
-  EXPECT_TRUE(opts.bench_json.empty());
-  EXPECT_EQ(argc, 2);
-}
-
-TEST(ObserveFlagsTest, PostmortemDirIsExtractedAlone) {
-  std::vector<std::string> storage = {"bench", "--postmortem-dir", "pm"};
-  std::vector<char*> argv;
-  for (auto& s : storage) argv.push_back(s.data());
-  argv.push_back(nullptr);
-  int argc = static_cast<int>(storage.size());
-  const auto opts = bench::extract_harness_flags(argc, argv.data());
-  // A flight recorder arms every harness scenario; on its own it asks for
-  // no other output.
-  EXPECT_EQ(opts.postmortem_dir, "pm");
-  EXPECT_TRUE(opts.trace_out.empty());
-  EXPECT_TRUE(opts.bench_json.empty());
-  EXPECT_EQ(argc, 1);
-}
+// --- CLI flags: the harness rows of a flag table (bench/harness.hpp) ---
 
 /// Owns an argv built from `args` (argv[0] = "bench") for the parser.
 struct Argv {
@@ -203,13 +156,55 @@ struct Argv {
     ptrs.push_back(nullptr);
     argc = static_cast<int>(storage.size());
   }
-  bench::HarnessOptions extract() {
-    return bench::extract_harness_flags(argc, ptrs.data());
+  /// Parses with a figure bench's table: every harness row but --batch,
+  /// plus `extra` rows (e.g. the batch row).
+  bench::HarnessOptions parse(
+      std::initializer_list<std::string_view> extra = {}) {
+    bench::HarnessOptions opts;
+    flags::Table t("bench_unit", "", bench::harness_flags(opts));
+    if (extra.size() > 0) t.add(bench::harness_flags(opts, extra));
+    t.parse(argc, ptrs.data());
+    return opts;
   }
   std::vector<std::string> storage;
   std::vector<char*> ptrs;
   int argc = 0;
 };
+
+TEST(ObserveFlagsTest, HarnessAndOwnRowsShareOneCommandLine) {
+  Argv a({"--foo", "--trace-out", "t.json", "--bar", "1", "--metrics-out",
+          "m.txt"});
+  bench::HarnessOptions opts;
+  bool foo = false;
+  int bar = 0;
+  flags::Table("bench_unit", "",
+               {flags::toggle("--foo", &foo, "own switch"),
+                flags::count("--bar", &bar, 0, 9, "own count")})
+      .add(bench::harness_flags(opts))
+      .parse(a.argc, a.ptrs.data());
+  EXPECT_TRUE(opts.bench_json.empty());
+  EXPECT_EQ(opts.trace_out, "t.json");
+  EXPECT_EQ(opts.metrics_out, "m.txt");
+  EXPECT_TRUE(foo);
+  EXPECT_EQ(bar, 1);
+}
+
+TEST(ObserveFlagsTest, AbsentFlagsDisableObservation) {
+  const auto opts = Argv({}).parse();
+  EXPECT_TRUE(opts.trace_out.empty());
+  EXPECT_TRUE(opts.metrics_out.empty());
+  EXPECT_TRUE(opts.bench_json.empty());
+  EXPECT_FALSE(opts.attribution_mode());
+}
+
+TEST(ObserveFlagsTest, PostmortemDirIsExtractedAlone) {
+  const auto opts = Argv({"--postmortem-dir", "pm"}).parse();
+  // A flight recorder arms every harness scenario; on its own it asks for
+  // no other output.
+  EXPECT_EQ(opts.postmortem_dir, "pm");
+  EXPECT_TRUE(opts.trace_out.empty());
+  EXPECT_TRUE(opts.bench_json.empty());
+}
 
 TEST(ObserveFlagsTest, CountFlagsRejectNonCountsWithExit2) {
   for (const auto& args : std::vector<std::vector<std::string>>{
@@ -217,69 +212,92 @@ TEST(ObserveFlagsTest, CountFlagsRejectNonCountsWithExit2) {
            {"--batch", "-1"},
            {"--batch", "1024"},
            {"--batch", "8x"},
-           {"--hot-keys", "x"}}) {
+           {"--hot-keys", "x"},
+           {"--hot-keys", "1025"}}) {
     Argv a(args);
-    EXPECT_EXIT(a.extract(), ::testing::ExitedWithCode(2), args[0])
+    EXPECT_EXIT(a.parse({"--batch"}), ::testing::ExitedWithCode(2), args[0])
         << args[0] << " " << args[1];
   }
 }
 
 TEST(ObserveFlagsTest, BatchAcceptsDepthsUpTo512) {
-  Argv a({"--batch", "512", "--hot-keys", "3"});
-  const auto opts = a.extract();
+  const auto opts = Argv({"--batch", "512", "--hot-keys", "3"}).parse(
+      {"--batch"});
   EXPECT_EQ(opts.batch, 512u);
   EXPECT_EQ(opts.hot_keys, 3u);
-  EXPECT_EQ(a.argc, 1);
 }
 
 TEST(ObserveFlagsTest, BenchCommandLineRejectsLeftoverArguments) {
-  Argv a({"--bench-json", "b.json", "--bogus"});
-  EXPECT_EXIT(bench::extract_harness_flags("unit", a.argc, a.ptrs.data()),
-              ::testing::ExitedWithCode(2), "unexpected argument '--bogus'");
+  Argv flag({"--bench-json", "b.json", "--bogus"});
+  EXPECT_EXIT(flag.parse(), ::testing::ExitedWithCode(2),
+              "bench_unit: unknown flag --bogus");
+  Argv stray({"--bench-json", "b.json", "extra"});
+  EXPECT_EXIT(stray.parse(), ::testing::ExitedWithCode(2),
+              "bench_unit: unexpected argument 'extra'");
 }
 
 TEST(ObserveFlagsTest, BenchCommandLineAcceptsObservedAndHarnessRuns) {
-  Argv observed({"--trace-out", "t.json", "--postmortem-dir", "pm"});
-  const auto observe_opts = bench::extract_harness_flags(
-      "unit", observed.argc, observed.ptrs.data());
+  const auto observe_opts =
+      Argv({"--trace-out", "t.json", "--postmortem-dir", "pm"}).parse();
   EXPECT_EQ(observe_opts.trace_out, "t.json");
   EXPECT_EQ(observe_opts.postmortem_dir, "pm");
-  Argv harness({"--bench-json", "b.json", "--batch", "4"});
-  const auto harness_opts = bench::extract_harness_flags(
-      "unit", harness.argc, harness.ptrs.data(), /*sweeps_batches=*/true);
+  const auto harness_opts =
+      Argv({"--bench-json", "b.json", "--batch", "4"}).parse({"--batch"});
   EXPECT_EQ(harness_opts.bench_json, "b.json");
   EXPECT_EQ(harness_opts.batch, 4u);
 }
 
 TEST(ObserveFlagsTest, BenchCommandLineRejectsBatchUnlessItSweepsBatches) {
   Argv a({"--bench-json", "b.json", "--batch", "4"});
-  EXPECT_EXIT(bench::extract_harness_flags("unit", a.argc, a.ptrs.data()),
-              ::testing::ExitedWithCode(2),
-              "bench_unit: --batch is not supported here");
-  Argv none({"--bench-json", "b.json"});
-  EXPECT_EQ(bench::extract_harness_flags("unit", none.argc, none.ptrs.data())
-                .batch,
-            0u);
+  EXPECT_EXIT(a.parse(), ::testing::ExitedWithCode(2),
+              "bench_unit: unknown flag --batch");
+  EXPECT_EQ(Argv({"--bench-json", "b.json"}).parse().batch, 0u);
 }
 
-TEST(ObserveFlagsTest, HonourOnlyRejectsFlagsABinaryDoesNotWrite) {
+TEST(ObserveFlagsTest, UnlistedRowsRejectFlagsABinaryDoesNotWrite) {
   Argv a({"--postmortem-dir", "pm", "--hot-keys", "2"});
-  const auto opts = a.extract();
-  bench::honour_only("unit", opts, {"--postmortem-dir", "--hot-keys"});
-  EXPECT_EXIT(bench::honour_only("unit", opts, {"--postmortem-dir"}),
-              ::testing::ExitedWithCode(2), "unit: --hot-keys is not");
-  EXPECT_EXIT(bench::honour_only("unit", opts, {}),
-              ::testing::ExitedWithCode(2), "unit: --postmortem-dir is not");
+  const auto parse = [&a](std::initializer_list<std::string_view> rows) {
+    bench::HarnessOptions opts;
+    flags::Table t("unit", "");
+    if (rows.size() > 0) t.add(bench::harness_flags(opts, rows));
+    t.parse(a.argc, a.ptrs.data());
+    return opts;
+  };
+  const auto opts = parse({"--postmortem-dir", "--hot-keys"});
+  EXPECT_EQ(opts.postmortem_dir, "pm");
+  EXPECT_EQ(opts.hot_keys, 2u);
+  EXPECT_EXIT(parse({"--postmortem-dir"}), ::testing::ExitedWithCode(2),
+              "unit: unknown flag --hot-keys");
+  EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(2),
+              "unit: unknown flag --postmortem-dir");
 }
 
 TEST(ObserveFlagsTest, RealValuesRejectNonNumbersWithExit2) {
-  EXPECT_EQ(bench::parse_real("--alpha", "0.75", 0, 10), 0.75);
-  EXPECT_EQ(bench::parse_real("--alpha", "10", 0, 10), 10.0);
+  EXPECT_EQ(flags::parse_real("0.75", 0, 10), 0.75);
+  EXPECT_EQ(flags::parse_real("10", 0, 10), 10.0);
   for (const char* text : {"", "x", "0.5x", "-0.1", "10.5", "nan", "inf"}) {
-    EXPECT_EXIT(bench::parse_real("--alpha", text, 0, 10),
-                ::testing::ExitedWithCode(2), "--alpha wants a number")
+    EXPECT_EQ(flags::parse_real(text, 0, 10), std::nullopt) << text;
+    double alpha = 0.75;
+    const flags::Table t("unit", "",
+                         {flags::real("--alpha", &alpha, 0, 10, "skew")});
+    Argv a({std::string("--alpha=") + text});
+    EXPECT_EXIT(t.parse(a.argc, a.ptrs.data()), ::testing::ExitedWithCode(2),
+                "unit: --alpha ")
         << "'" << text << "'";
   }
+}
+
+TEST(ObserveFlagsTest, SloRuleFileIsCheckedWhenTheFlagIsParsed) {
+  const std::string bad = ::testing::TempDir() + "observe_flags_bad.slo";
+  std::ofstream(bad) << "rule r rate series=a total=b max=0.1 windows=3x\n";
+  Argv a({"--slo", bad});
+  EXPECT_EXIT(a.parse(), ::testing::ExitedWithCode(2),
+              "bench_unit: slo: line 1: bad number in `windows=3x`");
+  const std::string good = ::testing::TempDir() + "observe_flags_good.slo";
+  std::ofstream(good) << "rule r rate series=a total=b max=0.1\n";
+  const auto opts = Argv({"--slo", good}).parse();
+  ASSERT_EQ(opts.slo_rules.size(), 1u);
+  EXPECT_EQ(opts.slo_rules[0].series, "a");
 }
 
 // --- bench::Harness: tracer only when output is requested ---
@@ -332,8 +350,7 @@ std::string read_file(const std::string& path) {
 TEST(HarnessTest, TraceOutBesideBenchJsonWritesBothFiles) {
   Argv a({"--trace-out", ::testing::TempDir() + "harness_both.trace.json",
           "--bench-json", ::testing::TempDir() + "harness_both.bench.json"});
-  const auto opts =
-      bench::extract_harness_flags("unit", a.argc, a.ptrs.data());
+  const auto opts = a.parse();
   bench::Harness h("unit", opts);
   h.run("cell", [](bench::Scenario& s) {
     s.engine().spawn([](sim::Engine& e) -> sim::Task<void> {

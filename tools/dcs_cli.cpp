@@ -1,35 +1,20 @@
 // dcs — scenario driver and offline debugger.
 //
 // Runs parameterizable versions of the repository's experiments without
-// recompiling, e.g.:
-//
-//   dcs cache   --scheme HYBCC --proxies 4 --file-kb 32 --alpha 0.9
-//   dcs locks   --scheme ncosed --waiters 12 --mode shared
-//   dcs monitor --scheme rdma-sync --jobs 6
-//   dcs storm   --records 250000 --plane ddss
-//   dcs wedge   --scenario stall|deadline|violation --postmortem-dir pm
-//   dcs inspect pm/dcs_wedge_stall.engine-stall.1.postmortem.json --timeline 2
-//   dcs top     TIMESERIES.json [--self-check] [--node N] [--windows W]
-//   dcs explain TIMESERIES.json --hotset HOT.json --exemplars EX.json
-//   dcs flame   TRACE.json [--out profile.speedscope.json]
-//   dcs params
-//
-// All numbers are deterministic virtual-time results.
+// recompiling, and reads their dumps offline.  `dcs --help` lists the
+// commands; `dcs <command> --help` prints the usage generated from that
+// command's flag table.  All numbers are deterministic virtual-time
+// results.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
-#include <initializer_list>
 #include <iostream>
-#include <limits>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "audit/audit.hpp"
 #include "cache/coop_cache.hpp"
+#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
 #include "datacenter/clients.hpp"
@@ -52,81 +37,20 @@ using namespace dcs;
 
 namespace {
 
-/// The `--flag value` pairs after the command name.  A command reads its
-/// flags through the checked getters below, then calls check_all_read(),
-/// which rejects any flag no getter read.  Every malformed argument exits
-/// with status 2 and a message before a simulation starts.
-class Args {
- public:
-  Args(std::string cmd, int argc, char** argv) : cmd_(std::move(cmd)) {
-    for (int i = 2; i < argc; i += 2) {
-      const std::string flag = argv[i];
-      if (flag.size() < 3 || flag.compare(0, 2, "--") != 0) {
-        fail("unexpected argument '" + flag + "'");
-      }
-      if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-        fail(flag + " needs a value");
-      }
-      values_[flag] = argv[i + 1];
-    }
-  }
-  /// The value of `flag`, one of `names`; the first name is the default.
-  std::string choice(const char* flag,
-                     std::initializer_list<const char*> names) {
-    const std::string* text = read(flag);
-    if (text == nullptr) return *names.begin();
-    for (const char* name : names) {
-      if (*text == name) return name;
-    }
-    std::string accepted;
-    for (const char* name : names) accepted += std::string(" ") + name;
-    fail("unknown " + std::string(flag) + " '" + *text + "' (accepted:" +
-         accepted + ")");
-  }
-  /// A count in [min, max] (bench::parse_count), or `fallback`.
-  std::uint64_t count(const char* flag, std::uint64_t fallback,
-                      std::uint64_t min, std::uint64_t max) {
-    const std::string* text = read(flag);
-    if (text == nullptr) return fallback;
-    const std::uint64_t value = bench::parse_count(flag, *text, max);
-    if (value < min) {
-      fail(std::string(flag) + " must be at least " + std::to_string(min));
-    }
-    return value;
-  }
-  /// A number in [min, max] (bench::parse_real), or `fallback`.
-  double real(const char* flag, double fallback, double min, double max) {
-    const std::string* text = read(flag);
-    return text == nullptr ? fallback
-                           : bench::parse_real(flag, *text, min, max);
-  }
-  void check_all_read() const {
-    for (const auto& [flag, value] : values_) {
-      if (!read_.contains(flag)) fail("unknown flag " + flag);
-    }
-  }
-  [[noreturn]] void fail(const std::string& why) const {
-    std::fprintf(stderr, "dcs %s: %s\n", cmd_.c_str(), why.c_str());
-    std::exit(2);
-  }
-
- private:
-  const std::string* read(const char* flag) {
-    read_.insert(flag);
-    const auto it = values_.find(flag);
-    return it != values_.end() ? &it->second : nullptr;
-  }
-
-  std::string cmd_;
-  std::map<std::string, std::string> values_;
-  std::set<std::string> read_;
-};
-
-/// A run command parses its flags, then returns the simulation it runs as
-/// the harness scenario "run".
+/// A run command's simulation, run as the harness scenario "run".
 using RunBody = std::function<void(bench::Scenario&)>;
 
-int cmd_params() {
+/// Runs `body` as the one harness scenario of `dcs <cmd>` and writes the
+/// outputs `opts` asks for.
+int run_scenario(const std::string& cmd, const bench::HarnessOptions& opts,
+                 const RunBody& body) {
+  bench::Harness h("dcs_" + cmd, opts);
+  h.run("run", body);
+  return h.finish();
+}
+
+int cmd_params(flags::Table& table, int argc, char** argv) {
+  table.parse(argc, argv, 2);
   const fabric::FabricParams p;
   Table t({"parameter", "value"});
   t.add_row({"link latency", std::to_string(p.link_latency) + " ns"});
@@ -148,27 +72,39 @@ int cmd_params() {
   return 0;
 }
 
-RunBody cmd_cache(Args& args) {
-  const std::string scheme_name =
-      args.choice("--scheme", {"HYBCC", "AC", "BCC", "CCWR", "MTACC"});
+int cmd_cache(flags::Table& table, int argc, char** argv) {
+  std::string scheme_name = "HYBCC";
+  std::size_t proxies_n = 2, file_kb = 16, requests = 3000, cache_mb = 4,
+              ws_mb = 12;
+  double alpha = 0.75;
+  bench::HarnessOptions opts;
+  table
+      .add({flags::choice("--scheme", &scheme_name,
+                          {"HYBCC", "AC", "BCC", "CCWR", "MTACC"},
+                          "cooperative caching scheme"),
+            flags::count("--proxies", &proxies_n, 1, 64, "proxy nodes"),
+            flags::count("--file-kb", &file_kb, 1, 4096, "document size in KB"),
+            flags::real("--alpha", &alpha, 0.0, 10.0, "Zipf skew of requests"),
+            flags::count("--requests", &requests, 1, 1000000,
+                         "client requests"),
+            flags::count("--cache-mb", &cache_mb, 0, 1u << 20,
+                         "cache capacity per proxy in MB"),
+            flags::count("--ws-mb", &ws_mb, 1, 4096, "working set in MB")})
+      .add(bench::harness_flags(opts))
+      .parse(argc, argv, 2);
   cache::Scheme scheme = cache::Scheme::kHYBCC;
   for (const auto s : {cache::Scheme::kAC, cache::Scheme::kBCC,
                        cache::Scheme::kCCWR, cache::Scheme::kMTACC,
                        cache::Scheme::kHYBCC}) {
     if (scheme_name == cache::to_string(s)) scheme = s;
   }
-  const std::size_t proxies_n = args.count("--proxies", 2, 1, 64);
-  const std::size_t file_bytes = args.count("--file-kb", 16, 1, 4096) * 1024;
-  const double alpha = args.real("--alpha", 0.75, 0.0, 10.0);
-  const std::size_t requests = args.count("--requests", 3000, 1, 1000000);
-  const std::size_t cache_mb = args.count("--cache-mb", 4, 0, 1u << 20);
-  const std::size_t ws_mb = args.count("--ws-mb", 12, 1, 4096);
+  const std::size_t file_bytes = file_kb * 1024;
   const std::size_t num_docs = ws_mb * 1024 * 1024 / file_bytes;
   if (num_docs == 0) {
-    args.fail("--ws-mb must hold at least one --file-kb document");
+    table.fail("--ws-mb must hold at least one --file-kb document");
   }
 
-  return [=](bench::Scenario& s) {
+  return run_scenario("cache", opts, [=](bench::Scenario& s) {
     sim::Engine& eng = s.engine();
     fabric::Fabric fab(eng, fabric::FabricParams{},
                        {.num_nodes = 6 + proxies_n, .cores_per_node = 2,
@@ -213,18 +149,25 @@ RunBody cmd_cache(Args& args) {
     t.print("cooperative cache run (" + std::to_string(proxies_n) +
             " proxies, " + std::to_string(file_bytes / 1024) +
             " KB docs, a=" + Table::fmt(alpha, 2) + ")");
-  };
+  });
 }
 
-RunBody cmd_locks(Args& args) {
-  const std::string scheme =
-      args.choice("--scheme", {"ncosed", "srsl", "dqnl"});
-  const int waiters = static_cast<int>(args.count("--waiters", 8, 1, 1024));
-  const std::string mode_name =
-      args.choice("--mode", {"shared", "exclusive"});
+int cmd_locks(flags::Table& table, int argc, char** argv) {
+  std::string scheme = "ncosed", mode_name = "shared";
+  int waiters = 8;
+  bench::HarnessOptions opts;
+  table
+      .add({flags::choice("--scheme", &scheme, {"ncosed", "srsl", "dqnl"},
+                          "lock manager"),
+            flags::count("--waiters", &waiters, 1, 1024,
+                         "processes queued behind the holder"),
+            flags::choice("--mode", &mode_name, {"shared", "exclusive"},
+                          "mode the waiters request")})
+      .add(bench::harness_flags(opts))
+      .parse(argc, argv, 2);
   const auto mode = mode_name == "shared" ? dlm::LockMode::kShared
                                           : dlm::LockMode::kExclusive;
-  return [=](bench::Scenario& s) {
+  return run_scenario("locks", opts, [=](bench::Scenario& s) {
     sim::Engine& eng = s.engine();
     fabric::Fabric fab(eng, fabric::FabricParams{},
                        {.num_nodes = static_cast<std::size_t>(waiters + 4),
@@ -272,21 +215,29 @@ RunBody cmd_locks(Args& args) {
     t.add_row({"cascade latency",
                Table::fmt(to_micros(last_grant - release_at), 1) + " us"});
     t.print("lock cascade run");
-  };
+  });
 }
 
-RunBody cmd_monitor(Args& args) {
-  const std::string scheme_name =
-      args.choice("--scheme", {"rdma-sync", "socket-sync", "socket-async",
-                               "rdma-async", "e-rdma-sync"});
+int cmd_monitor(flags::Table& table, int argc, char** argv) {
+  std::string scheme_name = "rdma-sync";
+  int jobs = 4;
+  bench::HarnessOptions opts;
+  table
+      .add({flags::choice("--scheme", &scheme_name,
+                          {"rdma-sync", "socket-sync", "socket-async",
+                           "rdma-async", "e-rdma-sync"},
+                          "monitoring scheme"),
+            flags::count("--jobs", &jobs, 0, 1024,
+                         "CPU-bound jobs on the monitored node")})
+      .add(bench::harness_flags(opts))
+      .parse(argc, argv, 2);
   monitor::MonScheme scheme = monitor::MonScheme::kRdmaSync;
   if (scheme_name == "socket-sync") scheme = monitor::MonScheme::kSocketSync;
   if (scheme_name == "socket-async") scheme = monitor::MonScheme::kSocketAsync;
   if (scheme_name == "rdma-async") scheme = monitor::MonScheme::kRdmaAsync;
   if (scheme_name == "e-rdma-sync") scheme = monitor::MonScheme::kERdmaSync;
-  const int jobs = static_cast<int>(args.count("--jobs", 4, 0, 1024));
 
-  return [=](bench::Scenario& s) {
+  return run_scenario("monitor", opts, [=](bench::Scenario& s) {
     sim::Engine& eng = s.engine();
     fabric::Fabric fab(eng, fabric::FabricParams{},
                        {.num_nodes = 2, .cores_per_node = 1});
@@ -322,16 +273,23 @@ RunBody cmd_monitor(Args& args) {
                               static_cast<std::uint64_t>(0)) +
                    " ns (incl. load)"});
     t.print("resource monitor probe");
-  };
+  });
 }
 
-RunBody cmd_storm(Args& args) {
-  const std::uint64_t records =
-      args.count("--records", 100000, 0, 1000000000);
-  const auto plane = args.choice("--plane", {"ddss", "sockets"}) == "ddss"
-                         ? storm::ControlPlane::kDdss
-                         : storm::ControlPlane::kSockets;
-  return [=](bench::Scenario& s) {
+int cmd_storm(flags::Table& table, int argc, char** argv) {
+  std::uint64_t records = 100000;
+  std::string plane_name = "ddss";
+  bench::HarnessOptions opts;
+  table
+      .add({flags::count("--records", &records, 0, 1000000000,
+                         "records the query scans"),
+            flags::choice("--plane", &plane_name, {"ddss", "sockets"},
+                          "control plane")})
+      .add(bench::harness_flags(opts))
+      .parse(argc, argv, 2);
+  const auto plane = plane_name == "ddss" ? storm::ControlPlane::kDdss
+                                          : storm::ControlPlane::kSockets;
+  return run_scenario("storm", opts, [=](bench::Scenario& s) {
     sim::Engine& eng = s.engine();
     fabric::Fabric fab(eng, fabric::FabricParams{},
                        {.num_nodes = 5, .cores_per_node = 2});
@@ -356,7 +314,7 @@ RunBody cmd_storm(Args& args) {
     t.add_row(
         {"query time", Table::fmt(to_millis(result.elapsed), 2) + " ms"});
     t.print("STORM query run");
-  };
+  });
 }
 
 // --- wedge: seeded failure scenarios that trip the flight recorder ---
@@ -368,18 +326,26 @@ RunBody cmd_storm(Args& args) {
 /// watchdog, or (violation) a seeded use-after-deregister under
 /// OnViolation::kPostmortem.  Each run writes deterministic
 /// dcs-postmortem-v1 dumps for `dcs inspect`.
-int cmd_wedge(Args& args, const bench::HarnessOptions& flags) {
-  const std::string scenario =
-      args.choice("--scenario", {"stall", "deadline", "violation"});
-  const int waiters = static_cast<int>(args.count("--waiters", 3, 1, 1024));
-  const std::size_t ring = args.count("--ring", 128, 0, 1u << 20);
-  args.check_all_read();
+int cmd_wedge(flags::Table& table, int argc, char** argv) {
+  std::string scenario = "stall";
+  int waiters = 3;
+  std::size_t ring = 128;
+  bench::HarnessOptions opts;
+  table
+      .add({flags::choice("--scenario", &scenario,
+                          {"stall", "deadline", "violation"},
+                          "who witnesses the wedge"),
+            flags::count("--waiters", &waiters, 1, 1024,
+                         "processes queued behind the parked holder"),
+            flags::count("--ring", &ring, 0, 1u << 20,
+                         "flight-recorder ring records per node")})
+      .add(bench::harness_flags(opts, {"--postmortem-dir"}))
+      .parse(argc, argv, 2);
 
   sim::Engine eng;
   trace::FlightConfig fc;
   fc.ring_capacity = ring;
-  fc.postmortem_dir =
-      flags.postmortem_dir.empty() ? "." : flags.postmortem_dir;
+  fc.postmortem_dir = opts.postmortem_dir.empty() ? "." : opts.postmortem_dir;
   fc.prefix = "dcs_wedge_" + scenario;
   trace::FlightRecorder flight(eng, fc);
   flight.install();
@@ -464,147 +430,67 @@ int cmd_wedge(Args& args, const bench::HarnessOptions& flags) {
 
 // --- inspect: offline queries over dumps and trace JSON ---
 
-/// An offline command's `flag` value as a count (bench::parse_count) up to
-/// the largest `T`.
-template <typename T = std::uint64_t>
-T count(const std::string& flag, const char* text) {
-  return static_cast<T>(bench::parse_count(flag.c_str(), text,
-                                           std::numeric_limits<T>::max()));
-}
-
-int cmd_inspect(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dcs inspect FILE [--node N] [--layer L] "
-                 "[--request R] [--from NS] [--to NS] [--timeline R] "
-                 "[--top N] [--diff FILE] [--self-check]\n");
-    return 2;
-  }
-  const std::string file = argv[2];
+int cmd_inspect(flags::Table& table, int argc, char** argv) {
+  std::string file;
   trace::inspect::Options opts;
-  for (int i = 3; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "inspect: %s needs a value\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--self-check") {
-      opts.self_check = true;
-    } else if (flag == "--node") {
-      opts.node = count<std::uint32_t>(flag, value());
-    } else if (flag == "--layer") {
-      opts.layer = value();
-    } else if (flag == "--request") {
-      opts.request = count(flag, value());
-    } else if (flag == "--from") {
-      opts.from_ns = count(flag, value());
-    } else if (flag == "--to") {
-      opts.to_ns = count(flag, value());
-    } else if (flag == "--timeline") {
-      opts.timeline = count(flag, value());
-    } else if (flag == "--top") {
-      opts.top = count(flag, value());
-    } else if (flag == "--diff") {
-      opts.diff_path = value();
-    } else {
-      std::fprintf(stderr, "inspect: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
-  }
+  table
+      .add({flags::positional("FILE", &file, "postmortem dump or trace JSON"),
+            flags::count("--node", &opts.node, "only this node's records"),
+            flags::path("--layer", &opts.layer, "only this layer", "L"),
+            flags::count("--request", &opts.request, "only this request"),
+            flags::count("--from", &opts.from_ns, "only from this virtual ns"),
+            flags::count("--to", &opts.to_ns, "only up to this virtual ns"),
+            flags::count("--timeline", &opts.timeline,
+                         "one request's cross-node timeline"),
+            flags::count("--top", &opts.top, "the N slowest requests"),
+            flags::path("--diff", &opts.diff_path, "second file to diff"),
+            flags::toggle("--self-check", &opts.self_check,
+                          "validate the dump's structure and exit")})
+      .parse(argc, argv, 2);
   return trace::inspect::run(file, opts, std::cout, std::cerr);
 }
 
 // --- top/flame: offline views over timeseries dumps and trace JSON ---
 
-int cmd_top(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dcs top TIMESERIES.json [--self-check] [--node N] "
-                 "[--windows W]\n");
-    return 2;
-  }
-  const std::string file = argv[2];
+int cmd_top(flags::Table& table, int argc, char** argv) {
+  std::string file;
   obs::TopOptions opts;
-  for (int i = 3; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "top: %s needs a value\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--self-check") {
-      opts.self_check = true;
-    } else if (flag == "--node") {
-      opts.node = count<std::uint32_t>(flag, value());
-    } else if (flag == "--windows") {
-      opts.windows = count(flag, value());
-    } else {
-      std::fprintf(stderr, "top: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
-  }
+  table
+      .add({flags::positional("FILE", &file, "dcs-timeseries-v1 dump"),
+            flags::toggle("--self-check", &opts.self_check,
+                          "validate the dump's structure and exit"),
+            flags::count("--node", &opts.node, "only this node's rows"),
+            flags::count("--windows", &opts.windows,
+                         "windows the rate columns span (0 = all)")})
+      .parse(argc, argv, 2);
   return obs::run_top(file, opts, std::cout, std::cerr);
 }
 
-int cmd_explain(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dcs explain TIMESERIES.json [--hotset FILE] "
-                 "[--exemplars FILE] [--postmortem FILE] [--top N] "
-                 "[--self-check]\n");
-    return 2;
-  }
-  const std::string file = argv[2];
+int cmd_explain(flags::Table& table, int argc, char** argv) {
+  std::string file;
   obs::ExplainOptions opts;
-  for (int i = 3; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "explain: %s needs a value\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--self-check") {
-      opts.self_check = true;
-    } else if (flag == "--hotset") {
-      opts.hotset = value();
-    } else if (flag == "--exemplars") {
-      opts.exemplars = value();
-    } else if (flag == "--postmortem") {
-      opts.postmortem = value();
-    } else if (flag == "--top") {
-      opts.top = count(flag, value());
-    } else {
-      std::fprintf(stderr, "explain: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
-  }
+  table
+      .add({flags::positional("FILE", &file, "dcs-timeseries-v1 dump"),
+            flags::path("--hotset", &opts.hotset, "dcs-hotset-v1 dump"),
+            flags::path("--exemplars", &opts.exemplars,
+                        "dcs-exemplar-v1 dump"),
+            flags::path("--postmortem", &opts.postmortem,
+                        "dcs-postmortem-v1 dump"),
+            flags::count("--top", &opts.top,
+                         "rows per hot-key table and exemplar series"),
+            flags::toggle("--self-check", &opts.self_check,
+                          "validate every dump's structure and exit")})
+      .parse(argc, argv, 2);
   return obs::run_explain(file, opts, std::cout, std::cerr);
 }
 
-int cmd_flame(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dcs flame TRACE.json [--out PROFILE.json]\n");
-    return 2;
-  }
-  const std::string file = argv[2];
-  std::string out_path;
-  for (int i = 3; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "flame: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
-  }
+int cmd_flame(flags::Table& table, int argc, char** argv) {
+  std::string file, out_path;
+  table
+      .add({flags::positional("FILE", &file, "--trace-out Chrome trace"),
+            flags::path("--out", &out_path,
+                        "write the profile here instead of stdout")})
+      .parse(argc, argv, 2);
   if (out_path.empty()) return obs::run_flame(file, std::cout, std::cerr);
   std::ofstream os(out_path);
   if (!os) {
@@ -616,90 +502,61 @@ int cmd_flame(int argc, char** argv) {
   return rc;
 }
 
-void usage() {
-  std::printf(
-      "usage: dcs <command> [--flag value ...]\n\n"
-      "commands:\n"
-      "  params                         dump the fabric cost model\n"
-      "  cache   --scheme AC|BCC|CCWR|MTACC|HYBCC --proxies N --file-kb N\n"
-      "          --alpha F --requests N --cache-mb N --ws-mb N\n"
-      "  locks   --scheme srsl|dqnl|ncosed --waiters N --mode shared|exclusive\n"
-      "  monitor --scheme socket-sync|socket-async|rdma-sync|rdma-async|"
-      "e-rdma-sync --jobs N\n"
-      "  storm   --plane sockets|ddss --records N\n"
-      "  wedge   --scenario stall|deadline|violation --waiters N --ring N\n"
-      "          (seeded wedged runs that trip the flight recorder)\n"
-      "  inspect FILE [--node N] [--layer L] [--request R] [--from NS]\n"
-      "          [--to NS] [--timeline R] [--top N] [--diff FILE]\n"
-      "          [--self-check]   offline debugger over postmortem/trace "
-      "JSON\n"
-      "  top     FILE [--self-check] [--node N] [--windows W]\n"
-      "          cluster health tables + firing alerts from a\n"
-      "          dcs-timeseries-v1 dump\n"
-      "  explain FILE [--hotset FILE] [--exemplars FILE]\n"
-      "          [--postmortem FILE] [--top N] [--self-check]\n"
-      "          breach attribution: firing rules -> hot keys ->\n"
-      "          tail exemplars, from the byte-stable dumps\n"
-      "  flame   FILE [--out PROFILE.json]\n"
-      "          span tree -> speedscope self-time profile from a\n"
-      "          --trace-out Chrome trace\n\n"
-      "observability (cache, locks, monitor, storm; each run is the\n"
-      "bench::Harness scenario \"run\"):\n"
-      "  --trace-out FILE      write a Chrome trace_event JSON of the run\n"
-      "  --metrics-out FILE    write the metrics registry dump of the run\n"
-      "  --critical-path FILE  write the critical-path attribution report\n"
-      "  --bench-json FILE     write a dcs-bench-v1 telemetry snapshot\n"
-      "  --bench-wall-json FILE write the run's host wall-time telemetry\n"
-      "  --postmortem-dir DIR  arm a flight recorder; trips dump there\n"
-      "                        (wedge takes this one flag too)\n"
-      "  --timeseries-out FILE write a dcs-timeseries-v1 dump of the run\n"
-      "  --slo FILE            evaluate SLO rules; alert stream to stderr\n"
-      "  --hotset-out FILE     write the dcs-hotset-v1 hot-key dump\n"
-      "  --exemplars-out FILE  write the dcs-exemplar-v1 tail exemplars\n"
-      "  --hot-keys N          print the top-N hot keys per domain\n");
+struct Command {
+  const char* name;
+  const char* about;
+  int (*run)(flags::Table& table, int argc, char** argv);
+};
+
+constexpr Command kCommands[] = {
+    {"params", "dump the fabric cost model", cmd_params},
+    {"cache", "cooperative cache run", cmd_cache},
+    {"locks", "lock cascade run", cmd_locks},
+    {"monitor", "resource monitor probe", cmd_monitor},
+    {"storm", "STORM query run", cmd_storm},
+    {"wedge", "seeded wedged run that trips the flight recorder", cmd_wedge},
+    {"inspect", "offline debugger over postmortem/trace JSON", cmd_inspect},
+    {"top", "cluster health tables and firing alerts from a timeseries dump",
+     cmd_top},
+    {"explain", "breach attribution: firing rules, hot keys, tail exemplars",
+     cmd_explain},
+    {"flame", "speedscope self-time profile from a --trace-out trace",
+     cmd_flame},
+};
+
+/// The top-level usage: every command of kCommands, each of whose flag
+/// tables prints its own usage under `dcs <command> --help`.
+std::string usage() {
+  std::string out =
+      "usage: dcs <command> [flags]\n"
+      "Scenario driver and offline debugger; `dcs <command> --help` lists\n"
+      "a command's flags.  cache, locks, monitor and storm run as the\n"
+      "bench::Harness scenario \"run\" and take its output flags.\n\n"
+      "commands:\n";
+  for (const Command& c : kCommands) {
+    std::string head = std::string("  ") + c.name;
+    head.resize(11, ' ');
+    out += head + c.about + "\n";
+  }
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
-    return 1;
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  if (cmd == "--help") {
+    std::fputs(usage().c_str(), stdout);
+    return 0;
   }
-  const std::string cmd = argv[1];
-  if (cmd == "inspect") return cmd_inspect(argc, argv);
-  if (cmd == "top") return cmd_top(argc, argv);
-  if (cmd == "explain") return cmd_explain(argc, argv);
-  if (cmd == "flame") return cmd_flame(argc, argv);
-  const std::map<std::string, RunBody (*)(Args&)> runs = {
-      {"cache", cmd_cache},
-      {"locks", cmd_locks},
-      {"monitor", cmd_monitor},
-      {"storm", cmd_storm}};
-  const auto run = runs.find(cmd);
-  if (run == runs.end() && cmd != "params" && cmd != "wedge") {
-    usage();
-    return 1;
+  for (const Command& c : kCommands) {
+    if (cmd != c.name) continue;
+    flags::Table table("dcs " + cmd, c.about);
+    return c.run(table, argc, argv);
   }
-  const auto flags = bench::extract_harness_flags(argc, argv);
-  Args args(cmd, argc, argv);
-  if (cmd == "params") {
-    bench::honour_only("dcs params", flags, {});
-    args.check_all_read();
-    return cmd_params();
-  }
-  if (cmd == "wedge") {
-    bench::honour_only("dcs wedge", flags, {"--postmortem-dir"});
-    return cmd_wedge(args, flags);
-  }
-  const RunBody body = run->second(args);
-  args.check_all_read();
-  bench::honour_only(
-      "dcs " + cmd, flags,
-      {"--bench-json", "--bench-wall-json", "--critical-path",
-       "--timeseries-out", "--slo", "--trace-out", "--metrics-out",
-       "--postmortem-dir", "--exemplars-out", "--hotset-out", "--hot-keys"});
-  bench::Harness h("dcs_" + cmd, flags);
-  h.run("run", body);
-  return h.finish();
+  std::fprintf(stderr, "dcs: %s\n%s",
+               cmd.empty() ? "missing command"
+                           : ("unknown command '" + cmd + "'").c_str(),
+               usage().c_str());
+  return 2;
 }
